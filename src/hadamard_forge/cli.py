@@ -156,7 +156,8 @@ def parse_matrix(text: str):
         return core.as_matrix(np.array(rows, dtype=complex)), meta
     except CliError:
         raise
-    except (HadamardForgeError, Exception) as exc:  # noqa: BLE001
+    except (ValueError, TypeError, KeyError, IndexError, OverflowError,
+            RecursionError, HadamardForgeError) as exc:
         raise CliError(f"cannot parse matrix file: {exc}", EXIT_PARSE)
 
 

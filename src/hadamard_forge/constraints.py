@@ -236,40 +236,38 @@ def hu_residual(b, c, d, e) -> complex:
 
 # ----------------------------------------------------------------- order 8
 
+# The order-8 constraints are cyclic-ratio sums (the cyclic n-roots
+# structure): with P = a*b*...*h and S_s = sum over both blocks (a, b, c, d)
+# and (e, f, g, h) of x_k / x_{k+s}, indices cyclic within a block, the
+# three constraints are P*S_3, P*S_2 and P*S_1.  Row i of this index table,
+# the positions of x_{j+s}, serves constraint i + 1.
+_C8_AHEAD = np.array([[j - j % 4 + (j + s) % 4 for j in range(8)] for s in (3, 2, 1)])
+
+
+# the search's line search may probe a point with a zero coordinate
+@np.errstate(divide="ignore", invalid="ignore")
+def _c8_residuals_and_jacobian(x):
+    """Order-8 constraint values and their exact Jacobian at stacked points.
+
+    `x` holds (a, ..., h) along its last axis, shape (..., 8).  Returns the
+    values r, shape (..., 3), and dr_s/dx_j = (P/x_j)*S_s + P*(1/x_{j+s} -
+    x_{j-s}/x_j**2), shape (..., 3, 8).
+    """
+    x = np.asarray(x, dtype=complex)
+    at = x[..., None, :]
+    ahead = x[..., _C8_AHEAD]
+    behind = ahead[..., ::-1, :]  # x_{j-s} is x_{j+4-s}, the row of shift 4 - s
+    ratio_sums = (at / ahead).sum(axis=-1)
+    prod = x.prod(axis=-1)[..., None]
+    jac = prod[..., None] * (ratio_sums[..., None] / at + 1.0 / ahead - behind / at**2)
+    return prod * ratio_sums, jac
+
+
 def c8_residuals(a, b, c, d, e, f, g, h) -> ConstraintResidual:
     """The three order-8 constraint polynomial values."""
     _check_nonzero(a=a, b=b, c=c, d=d, e=e, f=f, g=g, h=h)
-    r1 = (
-        a * b * c * d * e**2 * f * g
-        + a**2 * b * c * e * f * g * h
-        + b**2 * c * d * e * f * g * h
-        + a * c**2 * d * e * f * g * h
-        + a * b * d**2 * e * f * g * h
-        + a * b * c * d * f**2 * g * h
-        + a * b * c * d * e * g**2 * h
-        + a * b * c * d * e * f * h**2
-    )
-    r2 = (
-        a * b * c * d * e * f**2 * g
-        + a * b * c * d * e**2 * f * h
-        + a * b**2 * c * e * f * g * h
-        + a**2 * b * d * e * f * g * h
-        + b * c**2 * d * e * f * g * h
-        + a * c * d**2 * e * f * g * h
-        + a * b * c * d * f * g**2 * h
-        + a * b * c * d * e * g * h**2
-    )
-    r3 = (
-        a * b * c * d * e * f * g**2
-        + a * b * c * d * e * f**2 * h
-        + a * b * c * d * e**2 * g * h
-        + a * b * c**2 * e * f * g * h
-        + a * b**2 * d * e * f * g * h
-        + a**2 * c * d * e * f * g * h
-        + b * c * d**2 * e * f * g * h
-        + a * b * c * d * f * g * h**2
-    )
-    return ConstraintResidual(8, (r1, r2, r3))
+    values, _ = _c8_residuals_and_jacobian([a, b, c, d, e, f, g, h])
+    return ConstraintResidual(8, tuple(complex(v) for v in values))
 
 
 def c8_solve_h(a, b, c, d, e, f, g):
@@ -335,83 +333,83 @@ def c8_numeric_solve(
 ) -> NumericSolveReport:
     """Damped-Newton search for the free order-8 parameters.
 
-    `fixed` maps at least five of the names 'a'..'h' to unimodular values;
+    `fixed` maps five to seven of the names 'a'..'h' to unimodular values;
     the remaining parameters are solved so all three constraints vanish.
     Each restart draws its start point from an independent substream of
     `seed`, so results are reproducible and independent of scheduling.
-    Solutions converging onto a zero coordinate parametrise degenerate
-    matrices and are discarded.  An empty solution list with a positive
-    no_convergence count is the infeasibility diagnostic, not an error.
+    All restarts step together as one batch, each with the exact Jacobian
+    of the cyclic-ratio form and a least-squares Newton step damped by
+    lambda = 1, 1/2, ... > 1e-4.  A restart whose line search finds no
+    lambda that lowers its residual has stalled and stops, counted as no
+    convergence, as does one that leaves 1e-10 <= |x| <= 1e8.  Solutions
+    converging onto a zero coordinate parametrise degenerate matrices and
+    are discarded.  An empty solution list with a positive no_convergence
+    count is the infeasibility diagnostic, not an error.
     """
     if not set(fixed) <= set(PARAM_NAMES_8):
         raise InvalidParameter(f"fixed keys must be among {PARAM_NAMES_8!r}")
-    if len(fixed) < 5:
-        raise InvalidParameter("at least five parameters must be fixed")
+    if not 5 <= len(fixed) <= 7:
+        raise InvalidParameter("five to seven parameters must be fixed")
     fixed_vals = {k: complex(v) for k, v in fixed.items()}
     _check_nonzero(**fixed_vals)
     for name, v in fixed_vals.items():
         if abs(abs(v) - 1.0) > tol.tau_entry:
             raise InvalidParameter(f"fixed parameter {name!r} must lie on the torus")
-    free = [n for n in PARAM_NAMES_8 if n not in fixed_vals]
+    free = [i for i, n in enumerate(PARAM_NAMES_8) if n not in fixed_vals]
+    point = np.array([fixed_vals.get(n, 1.0) for n in PARAM_NAMES_8])
 
-    def residuals(x):
-        params = dict(fixed_vals)
-        params.update(zip(free, x))
-        return np.array(c8_residuals(**params).values)
+    def evaluate(x):
+        full = np.tile(point, (len(x), 1))
+        full[:, free] = x
+        r, jac = _c8_residuals_and_jacobian(full)
+        return r, jac[..., free]
 
-    def scale(x):
+    x = np.array([
+        np.exp(2j * np.pi * np.random.default_rng([int(seed), k]).random(len(free)))
+        for k in range(restarts)
+    ]).reshape(restarts, len(free))
+    ok = np.zeros(restarts, dtype=bool)
+    active = np.arange(restarts)
+    for _ in range(max_iter):
+        if not active.size:
+            break
+        r, jac = evaluate(x[active])
+        size = np.abs(r).max(axis=1)
         # each constraint is the cyclic ratio sum times the product of all
         # eight parameters, so convergence is judged against that product
-        return 8.0 * float(np.prod(np.abs(x))) + 1e-300
+        scale = 8.0 * np.prod(np.abs(x[active]), axis=1) + 1e-300
+        done = size < tol.tau_entry * scale
+        ok[active[done]] = True
+        keep = ~done & np.isfinite(jac).all(axis=(1, 2))
+        active, r, jac, size = active[keep], r[keep], jac[keep], size[keep]
+        # lstsq's default cutoff: three equations, rcond = 3 * eps
+        pinv = np.linalg.pinv(jac, rcond=3 * np.finfo(float).eps)
+        delta = np.einsum("rkj,rj->rk", pinv, -r)
+        step = np.zeros(active.size)
+        pending = np.arange(active.size)
+        lam = 1.0
+        while lam > 1e-4 and pending.size:
+            cand = x[active[pending]] + lam * delta[pending]
+            lower = np.abs(evaluate(cand)[0]).max(axis=1) < size[pending]
+            lower &= np.abs(cand).min(axis=1) > 1e-8
+            step[pending[lower]] = lam
+            pending = pending[~lower]
+            lam /= 2.0
+        moved = step > 0
+        active, step, delta = active[moved], step[moved], delta[moved]
+        x[active] += step[:, None] * delta
+        mag = np.abs(x[active])
+        active = active[(mag.max(axis=1) <= 1e8) & (mag.min(axis=1) >= 1e-10)]
 
+    degenerate = ok & (np.abs(x).min(axis=1) < 1e-3)
     solutions = []
-    converged = degenerate = failed = 0
-    for k in range(restarts):
-        rng = np.random.default_rng([int(seed), k])
-        x = np.exp(2j * np.pi * rng.random(len(free)))
-        ok = False
-        for _ in range(max_iter):
-            r = residuals(x)
-            if np.max(np.abs(r)) < tol.tau_entry * scale(x):
-                ok = True
-                break
-            jac = np.zeros((3, len(free)), dtype=complex)
-            step = 1e-7
-            for j in range(len(free)):
-                xp = x.copy()
-                xp[j] += step
-                jac[:, j] = (residuals(xp) - r) / step
-            try:
-                delta, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-            except np.linalg.LinAlgError:
-                break
-            lam = 1.0
-            base = np.max(np.abs(r))
-            while lam > 1e-4:
-                cand = x + lam * delta
-                if np.min(np.abs(cand)) > 1e-8 and np.max(
-                    np.abs(residuals(cand))
-                ) < base:
-                    break
-                lam /= 2.0
-            x = x + lam * delta
-            if np.max(np.abs(x)) > 1e8 or np.min(np.abs(x)) < 1e-10:
-                break
-        if not ok:
-            failed += 1
-            continue
-        if np.min(np.abs(x)) < 1e-3:
-            degenerate += 1
-            continue
-        converged += 1
-        full = dict(fixed_vals)
-        full.update(zip(free, (complex(v) for v in x)))
-        vec = ParamVector("M8", tuple(full[n] for n in PARAM_NAMES_8))
-        if not any(
-            np.max(np.abs(np.array(vec.values) - np.array(s.values))) < 1e-7
-            for s in solutions
-        ):
-            solutions.append(vec)
+    for k in np.flatnonzero(ok & ~degenerate):
+        full = point.copy()
+        full[free] = x[k]
+        if not any(np.max(np.abs(full - s.values)) < 1e-7 for s in solutions):
+            solutions.append(ParamVector("M8", full))
+    degenerate = int(degenerate.sum())
+    converged = int(ok.sum()) - degenerate
     return NumericSolveReport(
-        tuple(solutions), restarts, converged, degenerate, failed
+        tuple(solutions), restarts, converged, degenerate, restarts - converged - degenerate
     )

@@ -168,6 +168,25 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(path))
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[[1, 0], [0, 1]]",
+            '{"entries": [[[1, 0]], [[1, 0], [0, 1]]]}',
+            '{"entries": [[["1", "0"], ["0", "1"]]]}',
+            '{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            "1,0\n0,one",
+        ],
+        ids=["non-dict-json", "ragged", "string-entries", "deep-nesting", "csv-token"],
+    )
+    def test_malformed_file_is_a_parse_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith("error: cannot parse matrix file")
+
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "verify", "/nonexistent/x.json")
         assert code == EXIT_PARSE

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadamard_forge import (
     DegenerateQuadratic,
@@ -22,10 +26,77 @@ from hadamard_forge import (
     m8,
     orthogonality_residual,
 )
+from hadamard_forge.constraints import _c8_residuals_and_jacobian
 from conftest import random_phases
 
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
+
+
+def c8_expanded(a, b, c, d, e, f, g, h):
+    """The three order-8 constraints as expanded monomials, the oracle."""
+    r1 = (
+        a * b * c * d * e**2 * f * g
+        + a**2 * b * c * e * f * g * h
+        + b**2 * c * d * e * f * g * h
+        + a * c**2 * d * e * f * g * h
+        + a * b * d**2 * e * f * g * h
+        + a * b * c * d * f**2 * g * h
+        + a * b * c * d * e * g**2 * h
+        + a * b * c * d * e * f * h**2
+    )
+    r2 = (
+        a * b * c * d * e * f**2 * g
+        + a * b * c * d * e**2 * f * h
+        + a * b**2 * c * e * f * g * h
+        + a**2 * b * d * e * f * g * h
+        + b * c**2 * d * e * f * g * h
+        + a * c * d**2 * e * f * g * h
+        + a * b * c * d * f * g**2 * h
+        + a * b * c * d * e * g * h**2
+    )
+    r3 = (
+        a * b * c * d * e * f * g**2
+        + a * b * c * d * e * f**2 * h
+        + a * b * c * d * e**2 * g * h
+        + a * b * c**2 * e * f * g * h
+        + a * b**2 * d * e * f * g * h
+        + a**2 * c * d * e * f * g * h
+        + b * c * d**2 * e * f * g * h
+        + a * b * c * d * f * g * h**2
+    )
+    return r1, r2, r3
+
+
+# (f, g, h) of the eight distinct solutions that the scalar search with
+# finite-difference Jacobians found on the fixing (1, i, -1, -i, e^{0.3i})
+# with seed 1, in restart order
+SOLVE8_SEED1_FGH = [
+    (0.050703251555060176 - 0.16390982827467002j,
+     0.1639098282747905 + 0.05070325155471248j,
+     -0.0507032515548227 + 0.16390982827509404j),
+    (-0.2955202066615287 + 0.9553364891253521j,
+     -0.9553364891246018 - 0.2955202066614808j,
+     -0.050703251552564034 + 0.16390982827395312j),
+    (-0.9919363768067812 + 0.12673683114007925j,
+     0.027482290660850027 + 0.21509677636129912j,
+     -0.06408217834202756 + 0.2071602614401005j),
+    (-0.2955202066613396 + 0.955336489125606j,
+     0.1639098282741603 + 0.050703251552486124j,
+     0.29552020666133955 - 0.9553364891256059j),
+    (0.05070325155248641 - 0.16390982827416023j,
+     -0.9553364891256096 - 0.2955202066613433j,
+     0.29552020666134027 - 0.9553364891256083j),
+    (0.747119421691232 + 0.664689829653323j,
+     0.14413488907638738 - 0.16200936159970694j,
+     -0.0640821783364953 + 0.2071602614274073j),
+    (0.06408217834203019 - 0.20716026144010186j,
+     0.14413488908564287 - 0.16200936160994073j,
+     -0.7471194216979331 - 0.6646898297113824j),
+    (0.06408217835494796 - 0.20716026143807206j,
+     0.027482290648711768 + 0.2150967763644837j,
+     0.9919363768350369 - 0.1267368311117235j),
+]
 
 
 class TestOrder4:
@@ -230,6 +301,25 @@ class TestOrder8:
         assert res.order == 8
         assert np.allclose(res.values, (8, 8, 8))
 
+    def test_residuals_match_expanded_monomials(self, rng):
+        # off the torus, where the cyclic-ratio form divides by the parameters
+        for _ in range(50):
+            p = random_phases(rng, 8) * np.exp(rng.normal(size=8))
+            for got, want in zip(c8_residuals(*p).values, c8_expanded(*p)):
+                assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_exact_jacobian_matches_central_differences(self, rng):
+        x = random_phases(rng, 8) * np.exp(0.5 * rng.normal(size=(6, 8)))
+        values, jac = _c8_residuals_and_jacobian(x)
+        assert np.allclose(values, np.transpose(c8_expanded(*x.T)), rtol=1e-12)
+        for j, step in itertools.product(range(8), (1e-6, 1e-6j)):
+            dx = np.zeros(8, dtype=complex)
+            dx[j] = step
+            ahead, _ = _c8_residuals_and_jacobian(x + dx)
+            behind, _ = _c8_residuals_and_jacobian(x - dx)
+            central = (ahead - behind) / (2 * step)
+            assert np.allclose(jac[..., j], central, rtol=1e-7, atol=1e-9)
+
     def test_solve_h_unit_point(self):
         branches = c8_solve_h(1, 1, 1, 1, 1, 1, 1)
         vals = sorted(br.value.real for br in branches)
@@ -318,9 +408,43 @@ class TestOrder8Numeric:
             == report.restarts
         )
 
+    def test_pinned_answers_on_the_solve8_fixing(self):
+        fixed = dict(zip("abcde", [1, 1j, -1, -1j, np.exp(0.3j)]))
+        report = c8_numeric_solve(fixed, seed=1)
+        counts = (report.restarts, report.converged,
+                  report.rejected_degenerate, report.no_convergence)
+        assert counts == (64, 19, 0, 45)
+        assert len(report.solutions) == len(SOLVE8_SEED1_FGH)
+        for vec, fgh in zip(report.solutions, SOLVE8_SEED1_FGH):
+            assert np.max(np.abs(np.subtract(vec.values[5:], fgh))) < 1e-7
+            assert orthogonality_residual(m8(*vec.values)) < 1e-8
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        names=st.sampled_from(list(itertools.combinations("abcdefgh", 5))),
+        angles=st.lists(st.floats(0.0, 2 * np.pi), min_size=5, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+        restarts=st.integers(1, 4),
+    )
+    def test_random_torus_fixings(self, names, angles, seed, restarts):
+        fixed = dict(zip(names, np.exp(1j * np.array(angles))))
+        report = c8_numeric_solve(fixed, seed=seed, restarts=restarts)
+        assert report == c8_numeric_solve(fixed, seed=seed, restarts=restarts)
+        assert (report.converged + report.rejected_degenerate
+                + report.no_convergence == report.restarts == restarts)
+        assert len(report.solutions) <= report.converged
+        for vec in report.solutions:
+            assert orthogonality_residual(m8(*vec.values)) < 1e-8
+            for n, v in fixed.items():
+                assert vec.values["abcdefgh".index(n)] == v
+
     def test_rejects_underdetermined_fixing(self):
         with pytest.raises(InvalidParameter):
             c8_numeric_solve({"a": 1.0})
+
+    def test_rejects_fully_fixed_point(self):
+        with pytest.raises(InvalidParameter):
+            c8_numeric_solve(dict(zip("abcdefgh", [1.0] * 8)))
 
     def test_rejects_off_torus_fixing(self):
         with pytest.raises(InvalidParameter):
