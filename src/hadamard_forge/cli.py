@@ -32,13 +32,6 @@ EXIT_NUMERIC = 70
 
 ENV_TOL = "HADAMARD_FORGE_TOL"
 
-# families whose construction promises a Hadamard result; gen exits 2 when
-# verification fails for one of these
-_GUARANTEED = {
-    "h4", "h4a", "h42", "h43", "h44", "h45",
-    "d6", "d61", "d61f", "d62f", "d8a", "d81", "a6", "b6",
-}
-
 
 class CliError(Exception):
     def __init__(self, message, code):
@@ -236,14 +229,13 @@ def cmd_gen(args) -> int:
         else:
             if family not in families.FAMILY_BUILDERS:
                 raise CliError(f"unknown family {args.family!r}", EXIT_USAGE)
-            builder, arity = families.FAMILY_BUILDERS[family]
+            builder, arity, guaranteed = families.FAMILY_BUILDERS[family]
             if len(params) != arity:
                 raise CliError(
                     f"family {family!r} takes {arity} parameter(s), got {len(params)}",
                     EXIT_USAGE,
                 )
             M = builder(*params)
-            guaranteed = family in _GUARANTEED
     except CliError:
         raise
     except HadamardForgeError as exc:
@@ -466,8 +458,8 @@ def _solve8(unknowns, values, tol, args):
 def _sweep_matrices(order, rng):
     if order == 4:
         b, c, d = np.exp(2j * np.pi * rng.random(3))
-        yield families.m4(b * d / c, b, c, d)
-        yield families.m4(-b * c / d, b, c, d)
+        yield families.h4(b, c, d)
+        yield families.h44(b, c, d)
     elif order == 6:
         b, c, d, e = np.exp(2j * np.pi * rng.random(4))
         for abr in "+-":

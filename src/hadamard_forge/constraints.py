@@ -1,16 +1,23 @@
 """Orthogonality constraints for the block-circulant families.
 
-The order-4 construction carries a single factorised constraint, order 6
-carries two coupled quadratics whose pair-elimination leaves one reduced
-condition, and order 8 carries three constraints that only admit a numeric
-treatment once two of them have been used up.  Solvers return
-SolutionBranch records so callers can keep track of which sheet of the
-square or cube root they are on; every branch substitutes back to a
-residual at rounding level.
+The order-4 construction carries a single factorised constraint whose two
+factors each equate the products of two parameter pairs.  Orders 6 and 8
+(blocks of k = 3 and 4 parameters) carry k - 1 cyclic-ratio constraints:
+with P the product of all 2k parameters and S_s = sum over both blocks of
+x_j / x_{j+s}, indices cyclic within a block, constraint i is P*S_{k-i}.
+As a polynomial in the last parameter u (f or h) each is the quadratic
+P*S_s = P'*(u**2/x_{u+s} + u*K_s + x_{u-s}), with P' the product of the
+other parameters and K_s the ratios free of u.  The first constraint gives
+the closed-form u-branches; eliminating u between the first and the last
+leaves one reduced condition; order 8 keeps a third constraint that is
+solved numerically.  Solvers return SolutionBranch records so callers can
+keep track of which sheet of the square or cube root they are on; every
+branch substitutes back to a residual at rounding level.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,11 +93,17 @@ def c4_residual(a, b, c, d) -> complex:
     return (b * c + a * d) * (a * c - b * d)
 
 
+# the pairs whose products each branch equates: a*c = b*d kills the factor
+# a*c - b*d, and a*d = -b*c kills b*c + a*d
+_C4_PAIRS = {"+": ("ac", "bd"), "-": ("ad", "bc")}
+
+
 def c4_branches(unknown: str, **given) -> list[SolutionBranch]:
     """Both closed-form branches for one unknown of the order-4 constraint.
 
-    The "+" branch kills the factor a*c - b*d, the "-" branch kills
-    b*c + a*d; e.g. solving for a gives a = b*d/c and a = -b*c/d.
+    On branch "+" (a*c = b*d) the unknown is the product of the other pair
+    over its partner, on branch "-" (a*d = -b*c) minus that; e.g. solving
+    for a gives a = b*d/c and a = -b*c/d.
     """
     if unknown not in PARAM_NAMES_4:
         raise InvalidParameter(f"unknown must be one of {PARAM_NAMES_4!r}")
@@ -99,70 +112,99 @@ def c4_branches(unknown: str, **given) -> list[SolutionBranch]:
         raise InvalidParameter(f"expected values for {names}, got {sorted(given)}")
     _check_nonzero(**given)
     g = {k: complex(v) for k, v in given.items()}
-    prod = {
-        "a": lambda: g["b"] * g["d"] / g["c"],
-        "b": lambda: g["a"] * g["c"] / g["d"],
-        "c": lambda: g["b"] * g["d"] / g["a"],
-        "d": lambda: g["a"] * g["c"] / g["b"],
-    }
-    neg = {
-        "a": lambda: -g["b"] * g["c"] / g["d"],
-        "b": lambda: -g["a"] * g["d"] / g["c"],
-        "c": lambda: -g["a"] * g["d"] / g["b"],
-        "d": lambda: -g["b"] * g["c"] / g["a"],
-    }
-    return [
-        SolutionBranch(unknown, "+", prod[unknown]()),
-        SolutionBranch(unknown, "-", neg[unknown]()),
-    ]
+    branches = []
+    for label, pairs in _C4_PAIRS.items():
+        own, other = pairs if unknown in pairs[0] else pairs[::-1]
+        p, q = (g[n] for n in other)
+        value = (-p if label == "-" else p) * q / g[own.replace(unknown, "")]
+        branches.append(SolutionBranch(unknown, label, value))
+    return branches
+
+
+# ------------------------------------------------- cyclic-ratio constraints
+
+# per block size k, row i holds the positions of x_{j+s}, cyclic within a
+# block, for the shift s = k - 1 - i of constraint i + 1; the Newton search
+# evaluates the kernel thousands of times, so the tables are built once
+_AHEAD = {
+    k: np.array([[j - j % k + (j + s) % k for j in range(2 * k)]
+                 for s in range(k - 1, 0, -1)])
+    for k in (3, 4)
+}
+
+
+# the search's line search may probe a point with a zero coordinate
+@np.errstate(divide="ignore", invalid="ignore")
+def _cyclic_ratio_residuals_and_jacobian(x):
+    """Order-2k constraint values and their exact Jacobian at stacked points.
+
+    `x` holds both blocks of k parameters along its last axis, shape
+    (..., 2k).  Returns the values r_s = P*S_s, shape (..., k - 1), and
+    dr_s/dx_j = (P/x_j)*S_s + P*(1/x_{j+s} - x_{j-s}/x_j**2), shape
+    (..., k - 1, 2k).
+    """
+    x = np.asarray(x, dtype=complex)
+    at = x[..., None, :]
+    ahead = x[..., _AHEAD[x.shape[-1] // 2]]
+    behind = ahead[..., ::-1, :]  # x_{j-s} is x_{j+k-s}, the row of shift k - s
+    ratio_sums = (at / ahead).sum(axis=-1)
+    prod = x.prod(axis=-1)[..., None]
+    jac = prod[..., None] * (ratio_sums[..., None] / at + 1.0 / ahead - behind / at**2)
+    return prod * ratio_sums, jac
+
+
+def _residuals(**params) -> ConstraintResidual:
+    _check_nonzero(**params)
+    values, _ = _cyclic_ratio_residuals_and_jacobian(list(params.values()))
+    return ConstraintResidual(len(params), tuple(complex(v) for v in values))
+
+
+def _quadratic_in_last(x, s):
+    """Coefficients (lead, lin, const) of P*S_s as a quadratic in u.
+
+    `x` holds the 2k - 1 parameters before the last one, u, which closes
+    the second block.  With P' their product, P*S_s = P'*(u**2/x_{u+s} +
+    u*K_s + x_{u-s}), where K_s sums the ratios x_j/x_{j+s} free of u.
+    """
+    x = [complex(v) for v in x]
+    k = (len(x) + 1) // 2
+    ahead = _AHEAD[k][k - 1 - s].tolist()
+    behind = ahead.index(2 * k - 1)  # x_{u-s} is the x_j with x_{j+s} = u
+    free = sum([x[j] / x[t] for j, t in enumerate(ahead[:-1]) if j != behind])
+    prod = math.prod(x)
+    return prod / x[ahead[-1]], prod * free, prod * x[behind]
+
+
+def _reduced_residual(x):
+    """The u-free condition for the first and last constraint to share a root.
+
+    Multiplied by x_{u-1} and x_{u+1} respectively (x_{u+1} is the first
+    parameter of u's block), the quadratics P*S_{k-1} and P*S_1 in u have
+    equal leading and constant terms, so a common root u != 0 leaves
+    x_{u-1}*P'*K_{k-1} - x_{u+1}*P'*K_1 = 0.
+    """
+    x = [complex(v) for v in x]
+    k = (len(x) + 1) // 2
+    return x[-1] * _quadratic_in_last(x, k - 1)[1] - x[k] * _quadratic_in_last(x, 1)[1]
 
 
 # ----------------------------------------------------------------- order 6
 
 def c6_residuals(a, b, c, d, e, f) -> ConstraintResidual:
-    """The two order-6 constraint polynomial values."""
-    _check_nonzero(a=a, b=b, c=c, d=d, e=e, f=f)
-    first = (
-        a * b * c * d**2 * e
-        + a**2 * b * d * e * f
-        + b**2 * c * d * e * f
-        + a * c**2 * d * e * f
-        + a * b * c * e**2 * f
-        + a * b * c * d * f**2
-    )
-    second = (
-        a * b * c * d * e**2
-        + a * b * c * d**2 * f
-        + a * b**2 * d * e * f
-        + a**2 * c * d * e * f
-        + b * c**2 * d * e * f
-        + a * b * c * e * f**2
-    )
-    return ConstraintResidual(6, (first, second))
+    """The two order-6 constraint polynomial values, P*S_2 and P*S_1."""
+    return _residuals(a=a, b=b, c=c, d=d, e=e, f=f)
 
 
 def c6_solve_f(a, b, c, d, e):
     """Both roots of the first order-6 constraint seen as a quadratic in f."""
     _check_nonzero(a=a, b=b, c=c, d=d, e=e)
-    lead = a * b * c * d
-    lin = e * (a**2 * b * d + b**2 * c * d + a * c**2 * d + a * b * c * e)
-    const = a * b * c * d**2 * e
-    return _quadratic_branches("f", lead, lin, const)
+    return _quadratic_branches("f", *_quadratic_in_last((a, b, c, d, e), 2))
 
 
 def c6_reduced_residual(a, b, c, d, e) -> complex:
     """The single reduced condition left after eliminating f from the pair."""
     _check_nonzero(a=a, b=b, c=c, d=d, e=e)
-    return (
-        -a * b * c * d**3
-        - a * b**2 * d**2 * e
-        - a**2 * c * d**2 * e
-        - b * c**2 * d**2 * e
-        + a**2 * b * d * e**2
-        + b**2 * c * d * e**2
-        + a * c**2 * d * e**2
-        + a * b * c * e**3
-    )
+    return _reduced_residual((a, b, c, d, e))
 
 
 _C6_QUAD_PARTNERS = {"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b")}
@@ -236,78 +278,27 @@ def hu_residual(b, c, d, e) -> complex:
 
 # ----------------------------------------------------------------- order 8
 
-# The order-8 constraints are cyclic-ratio sums (the cyclic n-roots
-# structure): with P = a*b*...*h and S_s = sum over both blocks (a, b, c, d)
-# and (e, f, g, h) of x_k / x_{k+s}, indices cyclic within a block, the
-# three constraints are P*S_3, P*S_2 and P*S_1.  Row i of this index table,
-# the positions of x_{j+s}, serves constraint i + 1.
-_C8_AHEAD = np.array([[j - j % 4 + (j + s) % 4 for j in range(8)] for s in (3, 2, 1)])
-
-
-# the search's line search may probe a point with a zero coordinate
-@np.errstate(divide="ignore", invalid="ignore")
-def _c8_residuals_and_jacobian(x):
-    """Order-8 constraint values and their exact Jacobian at stacked points.
-
-    `x` holds (a, ..., h) along its last axis, shape (..., 8).  Returns the
-    values r, shape (..., 3), and dr_s/dx_j = (P/x_j)*S_s + P*(1/x_{j+s} -
-    x_{j-s}/x_j**2), shape (..., 3, 8).
-    """
-    x = np.asarray(x, dtype=complex)
-    at = x[..., None, :]
-    ahead = x[..., _C8_AHEAD]
-    behind = ahead[..., ::-1, :]  # x_{j-s} is x_{j+4-s}, the row of shift 4 - s
-    ratio_sums = (at / ahead).sum(axis=-1)
-    prod = x.prod(axis=-1)[..., None]
-    jac = prod[..., None] * (ratio_sums[..., None] / at + 1.0 / ahead - behind / at**2)
-    return prod * ratio_sums, jac
-
-
 def c8_residuals(a, b, c, d, e, f, g, h) -> ConstraintResidual:
-    """The three order-8 constraint polynomial values."""
-    _check_nonzero(a=a, b=b, c=c, d=d, e=e, f=f, g=g, h=h)
-    values, _ = _c8_residuals_and_jacobian([a, b, c, d, e, f, g, h])
-    return ConstraintResidual(8, tuple(complex(v) for v in values))
+    """The three order-8 constraint polynomial values, P*S_3, P*S_2, P*S_1."""
+    return _residuals(a=a, b=b, c=c, d=d, e=e, f=f, g=g, h=h)
 
 
 def c8_solve_h(a, b, c, d, e, f, g):
     """Both roots of the first order-8 constraint as a quadratic in h."""
     _check_nonzero(a=a, b=b, c=c, d=d, e=e, f=f, g=g)
-    lead = a * b * c * d * e * f
-    lin = (
-        e * f * g * (a**2 * b * c + b**2 * c * d + a * c**2 * d + a * b * d**2)
-        + a * b * c * d * f**2 * g
-        + a * b * c * d * e * g**2
-    )
-    const = a * b * c * d * e**2 * f * g
-    return _quadratic_branches("h", lead, lin, const)
+    return _quadratic_branches("h", *_quadratic_in_last((a, b, c, d, e, f, g), 3))
 
 
 def c8_reduced_residual(a, b, c, d, e, f, g) -> complex:
     """Square-root-free condition left by feeding both h-roots onward.
 
-    On the torus the product of the third constraint evaluated at the two
-    h-branches has modulus equal to |this value| squared, so its vanishing
-    locus matches the pair substitution.
+    It is the condition for the first and third constraints to share an
+    h-root.  On the torus the product of the third constraint evaluated at
+    the two h-branches has modulus equal to |this value| squared, so its
+    vanishing locus matches the pair substitution.
     """
     _check_nonzero(a=a, b=b, c=c, d=d, e=e, f=f, g=g)
-    t1 = (
-        a**2 * b * c * e * f
-        + b**2 * c * d * e * f
-        + a * c**2 * d * e * f
-        + a * b * d**2 * e * f
-        + a * b * c * d * f**2
-        + a * b * c * d * e * g
-    ) * g**2
-    t2 = (
-        a * b * c * d * f**2
-        + a * b * c * d * e * g
-        + a * b * c**2 * f * g
-        + a * b**2 * d * f * g
-        + a**2 * c * d * f * g
-        + b * c * d**2 * f * g
-    ) * e**2
-    return t1 - t2
+    return _reduced_residual((a, b, c, d, e, f, g))
 
 
 @dataclass(frozen=True)
@@ -361,7 +352,7 @@ def c8_numeric_solve(
     def evaluate(x):
         full = np.tile(point, (len(x), 1))
         full[:, free] = x
-        r, jac = _c8_residuals_and_jacobian(full)
+        r, jac = _cyclic_ratio_residuals_and_jacobian(full)
         return r, jac[..., free]
 
     x = np.array([

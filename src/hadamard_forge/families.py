@@ -24,7 +24,7 @@ from .core import (
     is_hadamard,
     negacirculant2,
 )
-from .constraints import c6_solve_f, c6_solve_quadratic, c8_solve_h
+from .constraints import c4_branches, c6_solve_f, c6_solve_quadratic, c8_solve_h
 from .spectra import SpectrumMultiset
 
 _I = 1j
@@ -38,12 +38,16 @@ def m4(a, b, c, d) -> np.ndarray:
     return assemble_sylvester(negacirculant2(a, b), negacirculant2(c, d))
 
 
+def _m4_branch(unknown, branch, **given) -> np.ndarray:
+    """m4 with `unknown` solved on one branch of the order-4 constraint."""
+    (value,) = (br.value for br in c4_branches(unknown, **given)
+                if br.branch_label == branch)
+    return m4(**given, **{unknown: value})
+
+
 def h4(b, c, d) -> np.ndarray:
     """Three-phase order-4 family with a = b*d/c; Hadamard on the torus."""
-    b, c, d = complex(b), complex(c), complex(d)
-    if 0 in (b, c, d):
-        raise InvalidParameter("h4 parameters must be nonzero")
-    return m4(b * d / c, b, c, d)
+    return _m4_branch("a", "+", b=b, c=c, d=d)
 
 
 def h4a(q) -> np.ndarray:
@@ -67,35 +71,23 @@ def h4a_spectrum_closed(q) -> SpectrumMultiset:
 
 
 def h42(a, b) -> np.ndarray:
-    """Two-parameter order-4 variant, realised with d = 1 and c = b/a."""
-    a, b = complex(a), complex(b)
-    if 0 in (a, b):
-        raise InvalidParameter("h42 parameters must be nonzero")
-    return m4(a, b, b / a, 1.0)
+    """Two-parameter order-4 variant, realised with d = 1 and c = b*d/a."""
+    return _m4_branch("c", "+", a=a, b=b, d=1.0)
 
 
 def h43(a, c, d) -> np.ndarray:
     """Order-4 variant on the branch b = a*c/d."""
-    a, c, d = complex(a), complex(c), complex(d)
-    if 0 in (a, c, d):
-        raise InvalidParameter("h43 parameters must be nonzero")
-    return m4(a, a * c / d, c, d)
+    return _m4_branch("b", "+", a=a, c=c, d=d)
 
 
 def h44(b, c, d) -> np.ndarray:
     """Order-4 variant on the branch a = -b*c/d."""
-    b, c, d = complex(b), complex(c), complex(d)
-    if 0 in (b, c, d):
-        raise InvalidParameter("h44 parameters must be nonzero")
-    return m4(-b * c / d, b, c, d)
+    return _m4_branch("a", "-", b=b, c=c, d=d)
 
 
 def h45(a, c, d) -> np.ndarray:
     """Order-4 variant on the branch b = -a*d/c."""
-    a, c, d = complex(a), complex(c), complex(d)
-    if 0 in (a, c, d):
-        raise InvalidParameter("h45 parameters must be nonzero")
-    return m4(a, -a * d / c, c, d)
+    return _m4_branch("b", "-", a=a, c=c, d=d)
 
 
 # ----------------------------------------------------------------- order 6
@@ -242,13 +234,20 @@ def d61_family(c, d, e) -> np.ndarray:
 
     Nested radicals are taken with the principal square root; if the
     assembled matrix fails verification the radical sign is flipped, which
-    keeps the family total on the torus away from its singular loci.
+    keeps the family total on the torus away from its singular loci.  Off
+    the torus neither sign verifies, and the principal-branch matrix is
+    returned unverified, for the caller to check with is_hadamard.  Raises
+    SingularBranch where a nested radical vanishes.
     """
     return _d6_family(c, d, e, +1)
 
 
 def d62_family(c, d, e) -> np.ndarray:
-    """Companion sheet of d61_family: both radical signs reversed."""
+    """Companion sheet of d61_family: both radical signs reversed.
+
+    The same contract holds: off the torus the principal-branch matrix of
+    this sheet is returned unverified.
+    """
     return _d6_family(c, d, e, -1)
 
 
@@ -339,25 +338,27 @@ def b6() -> np.ndarray:
     return m6(1.0, (1 + _I) / _SQ2, _I * root / q, q / root, (1 - _I) / _SQ2, -1.0)
 
 
+# name -> (builder, arity, guaranteed); a guaranteed family promises a
+# Hadamard result, so gen exits 2 when verification fails for one of them
 FAMILY_BUILDERS = {
-    "m4": (m4, 4),
-    "h4": (h4, 3),
-    "h4a": (h4a, 1),
-    "h42": (h42, 2),
-    "h43": (h43, 3),
-    "h44": (h44, 3),
-    "h45": (h45, 3),
-    "bf": (bf, 1),
-    "bf-dephased": (bf_dephased, 1),
-    "d6": (d6, 0),
-    "d61": (d61, 0),
-    "m6": (m6, 6),
-    "m6s": (m6_standard, 6),
-    "d61f": (d61_family, 3),
-    "d62f": (d62_family, 3),
-    "m8": (m8, 8),
-    "d8a": (d8a, 6),
-    "d81": (d81, 0),
-    "a6": (a6, 0),
-    "b6": (b6, 0),
+    "m4": (m4, 4, False),
+    "h4": (h4, 3, True),
+    "h4a": (h4a, 1, True),
+    "h42": (h42, 2, True),
+    "h43": (h43, 3, True),
+    "h44": (h44, 3, True),
+    "h45": (h45, 3, True),
+    "bf": (bf, 1, False),
+    "bf-dephased": (bf_dephased, 1, False),
+    "d6": (d6, 0, True),
+    "d61": (d61, 0, True),
+    "m6": (m6, 6, False),
+    "m6s": (m6_standard, 6, False),
+    "d61f": (d61_family, 3, True),
+    "d62f": (d62_family, 3, True),
+    "m8": (m8, 8, False),
+    "d8a": (d8a, 6, True),
+    "d81": (d81, 0, True),
+    "a6": (a6, 0, True),
+    "b6": (b6, 0, True),
 }

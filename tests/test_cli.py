@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hadamard_forge import d6, d61, d81, bf, bf_quartic_roots
+from hadamard_forge import d6, d61, d61_family, d81, bf, bf_quartic_roots
 from hadamard_forge.cli import (
     EXIT_CONSTRAINT,
     EXIT_FALSE,
@@ -125,6 +125,16 @@ class TestGen:
         M, meta = parse_matrix(out.read_text())
         assert meta["hadamard"] == "false"
         assert M.shape == (6, 6)
+
+    def test_gen_d61f_off_torus_writes_unverified_matrix(self, tmp_path, capsys):
+        # neither radical sign verifies off the torus: the principal-branch
+        # matrix is written and the exit code reports the failure
+        out = tmp_path / "d61f.json"
+        code, _, _ = run(capsys, "gen", "d61f", "--params", "2+0i,0,0", "--out", str(out))
+        assert code == EXIT_CONSTRAINT
+        M, meta = parse_matrix(out.read_text())
+        assert meta["hadamard"] == "false"
+        assert np.array_equal(M, d61_family(2, 1, 1))
 
     def test_gen_bf_real_root_writes_file(self, tmp_path, capsys):
         out = tmp_path / "bf3.json"
@@ -342,6 +352,18 @@ class TestSolve:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("order, samples, seed, hits, distinct", [
+        (4, 50, 5, 100, 100),
+        (6, 60, 3, 148, 74),
+        (8, 10, 1, 10, 10),
+    ])
+    def test_pinned_counts(self, capsys, order, samples, seed, hits, distinct):
+        code, out, _ = run(capsys, "sweep", str(order), "--samples", str(samples),
+                           "--seed", str(seed))
+        assert code == EXIT_OK
+        assert out == (f"samples: {samples}\nhadamard_hits: {hits}\n"
+                       f"distinct_spectra: {distinct}\nseed: {seed}\n")
+
     def test_order6_finds_hadamards_and_is_deterministic(self, capsys):
         code, out1, _ = run(capsys, "--seed", "9", "sweep", "6", "--samples", "40")
         assert code == EXIT_OK

@@ -26,11 +26,57 @@ from hadamard_forge import (
     m8,
     orthogonality_residual,
 )
-from hadamard_forge.constraints import _c8_residuals_and_jacobian
+from hadamard_forge.constraints import (
+    _cyclic_ratio_residuals_and_jacobian,
+    _quadratic_in_last,
+)
 from conftest import random_phases
 
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
+
+
+def c6_expanded(a, b, c, d, e, f):
+    """The two order-6 constraints as expanded monomials, the oracle."""
+    first = (
+        a * b * c * d**2 * e
+        + a**2 * b * d * e * f
+        + b**2 * c * d * e * f
+        + a * c**2 * d * e * f
+        + a * b * c * e**2 * f
+        + a * b * c * d * f**2
+    )
+    second = (
+        a * b * c * d * e**2
+        + a * b * c * d**2 * f
+        + a * b**2 * d * e * f
+        + a**2 * c * d * e * f
+        + b * c**2 * d * e * f
+        + a * b * c * e * f**2
+    )
+    return first, second
+
+
+def c6_f_coefficients(a, b, c, d, e):
+    """(lead, lin, const) of the first order-6 constraint in f, the oracle."""
+    lead = a * b * c * d
+    lin = e * (a**2 * b * d + b**2 * c * d + a * c**2 * d + a * b * c * e)
+    const = a * b * c * d**2 * e
+    return lead, lin, const
+
+
+def c6_reduced_expanded(a, b, c, d, e):
+    """The order-6 reduced condition as expanded monomials, the oracle."""
+    return (
+        -a * b * c * d**3
+        - a * b**2 * d**2 * e
+        - a**2 * c * d**2 * e
+        - b * c**2 * d**2 * e
+        + a**2 * b * d * e**2
+        + b**2 * c * d * e**2
+        + a * c**2 * d * e**2
+        + a * b * c * e**3
+    )
 
 
 def c8_expanded(a, b, c, d, e, f, g, h):
@@ -66,6 +112,54 @@ def c8_expanded(a, b, c, d, e, f, g, h):
         + a * b * c * d * f * g * h**2
     )
     return r1, r2, r3
+
+
+def c8_h_coefficients(a, b, c, d, e, f, g):
+    """(lead, lin, const) of the first order-8 constraint in h, the oracle."""
+    lead = a * b * c * d * e * f
+    lin = (
+        e * f * g * (a**2 * b * c + b**2 * c * d + a * c**2 * d + a * b * d**2)
+        + a * b * c * d * f**2 * g
+        + a * b * c * d * e * g**2
+    )
+    const = a * b * c * d * e**2 * f * g
+    return lead, lin, const
+
+
+def c8_reduced_expanded(a, b, c, d, e, f, g):
+    """The order-8 reduced condition as expanded monomials, the oracle."""
+    t1 = (
+        a**2 * b * c * e * f
+        + b**2 * c * d * e * f
+        + a * c**2 * d * e * f
+        + a * b * d**2 * e * f
+        + a * b * c * d * f**2
+        + a * b * c * d * e * g
+    ) * g**2
+    t2 = (
+        a * b * c * d * f**2
+        + a * b * c * d * e * g
+        + a * b * c**2 * f * g
+        + a * b**2 * d * f * g
+        + a**2 * c * d * f * g
+        + b * c * d**2 * f * g
+    ) * e**2
+    return t1 - t2
+
+
+# order -> (public residuals, expanded residuals, coefficients of the first
+# constraint in the last parameter, public reduced condition, its expansion)
+ORACLES = {
+    6: (c6_residuals, c6_expanded, c6_f_coefficients,
+        c6_reduced_residual, c6_reduced_expanded),
+    8: (c8_residuals, c8_expanded, c8_h_coefficients,
+        c8_reduced_residual, c8_reduced_expanded),
+}
+
+
+def off_torus_points(rng, order, count=50):
+    # where the cyclic-ratio form divides by the parameters
+    return random_phases(rng, order) * np.exp(rng.normal(size=(count, order)))
 
 
 # (f, g, h) of the eight distinct solutions that the scalar search with
@@ -301,25 +395,6 @@ class TestOrder8:
         assert res.order == 8
         assert np.allclose(res.values, (8, 8, 8))
 
-    def test_residuals_match_expanded_monomials(self, rng):
-        # off the torus, where the cyclic-ratio form divides by the parameters
-        for _ in range(50):
-            p = random_phases(rng, 8) * np.exp(rng.normal(size=8))
-            for got, want in zip(c8_residuals(*p).values, c8_expanded(*p)):
-                assert abs(got - want) <= 1e-12 * abs(want)
-
-    def test_exact_jacobian_matches_central_differences(self, rng):
-        x = random_phases(rng, 8) * np.exp(0.5 * rng.normal(size=(6, 8)))
-        values, jac = _c8_residuals_and_jacobian(x)
-        assert np.allclose(values, np.transpose(c8_expanded(*x.T)), rtol=1e-12)
-        for j, step in itertools.product(range(8), (1e-6, 1e-6j)):
-            dx = np.zeros(8, dtype=complex)
-            dx[j] = step
-            ahead, _ = _c8_residuals_and_jacobian(x + dx)
-            behind, _ = _c8_residuals_and_jacobian(x - dx)
-            central = (ahead - behind) / (2 * step)
-            assert np.allclose(jac[..., j], central, rtol=1e-7, atol=1e-9)
-
     def test_solve_h_unit_point(self):
         branches = c8_solve_h(1, 1, 1, 1, 1, 1, 1)
         vals = sorted(br.value.real for br in branches)
@@ -361,6 +436,45 @@ class TestOrder8:
     def test_degenerate_quadratic_unreachable_inputs_rejected(self):
         with pytest.raises(InvalidParameter):
             c8_solve_h(0, 1, 1, 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("order", [6, 8])
+class TestCyclicRatioForm:
+    def test_residuals_match_expanded_monomials(self, rng, order):
+        residuals, expanded = ORACLES[order][:2]
+        for p in off_torus_points(rng, order):
+            res = residuals(*p)
+            assert res.order == order
+            for got, want in zip(res.values, expanded(*p), strict=True):
+                assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_exact_jacobian_matches_central_differences(self, rng, order):
+        expanded = ORACLES[order][1]
+        x = random_phases(rng, order) * np.exp(0.5 * rng.normal(size=(6, order)))
+        values, jac = _cyclic_ratio_residuals_and_jacobian(x)
+        assert np.allclose(values, np.transpose(expanded(*x.T)), rtol=1e-12)
+        for j, step in itertools.product(range(order), (1e-6, 1e-6j)):
+            dx = np.zeros(order, dtype=complex)
+            dx[j] = step
+            ahead, _ = _cyclic_ratio_residuals_and_jacobian(x + dx)
+            behind, _ = _cyclic_ratio_residuals_and_jacobian(x - dx)
+            central = (ahead - behind) / (2 * step)
+            assert np.allclose(jac[..., j], central, rtol=1e-7, atol=1e-9)
+
+    def test_last_parameter_coefficients_match_expanded(self, rng, order):
+        # coefficients, not roots: roots near a double root move by far
+        # more than the rounding of their coefficients
+        coefficients = ORACLES[order][2]
+        for p in off_torus_points(rng, order - 1):
+            coeffs = _quadratic_in_last(p, order // 2 - 1)
+            for got, want in zip(coeffs, coefficients(*p), strict=True):
+                assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_reduced_matches_expanded_monomials(self, rng, order):
+        reduced, expanded = ORACLES[order][3:]
+        for p in off_torus_points(rng, order - 1):
+            want = expanded(*p)
+            assert abs(reduced(*p) - want) <= 1e-12 * abs(want)
 
 
 class TestOrder8Numeric:

@@ -59,6 +59,17 @@ def ec1_coeffs(b, c, d):
     return np.array([1.0, p, s, -p, 1.0])  # ascending
 
 
+# the order-4 constructors as explicit formulas on complex inputs, the oracle
+# for their derivation from the constraint branches
+H4_FORMULAS = {
+    h4: lambda b, c, d: m4(b * d / c, b, c, d),
+    h42: lambda a, b: m4(a, b, b / a, 1.0),
+    h43: lambda a, c, d: m4(a, a * c / d, c, d),
+    h44: lambda b, c, d: m4(-b * c / d, b, c, d),
+    h45: lambda a, c, d: m4(a, -a * d / c, c, d),
+}
+
+
 class TestH4:
     def test_printed_layout(self, rng):
         b, c, d = random_phases(rng, 3)
@@ -124,6 +135,15 @@ class TestH4a:
 
 
 class TestH4Variants:
+    @pytest.mark.parametrize("family", list(H4_FORMULAS), ids=lambda f: f.__name__)
+    def test_bit_exact_against_explicit_formulas(self, rng, family):
+        formula = H4_FORMULAS[family]
+        n = formula.__code__.co_argcount
+        for p in random_phases(rng, n) * np.exp(rng.normal(size=(200, n))):
+            assert np.array_equal(family(*p), formula(*map(complex, p)))
+        with pytest.raises(InvalidParameter):
+            family(0, *p[1:])
+
     def test_h42_char_poly(self, rng):
         a, b = random_phases(rng, 2)
         p = (a * a - 1) / a
