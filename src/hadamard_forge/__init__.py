@@ -16,7 +16,6 @@ from .core import (
     HadamardForgeError,
     InvalidDimensions,
     InvalidParameter,
-    NoConvergence,
     NotNormal,
     NotReciprocal,
     ParamVector,
@@ -86,6 +85,7 @@ from .families import (
     h4a_spectrum_closed,
     m4,
     m6,
+    m6_branch_points,
     m6_from_branches,
     m6_standard,
     m8,

@@ -210,9 +210,9 @@ def cmd_gen(args) -> int:
                 )
             fbr = branches[0].lstrip("f")
             abr = branches[1].lstrip("a")
-            M, aval, fval = families.m6_from_branches(
-                *params, a_branch=abr, f_branch=fbr, standard=(family == "m6s")
-            )
+            M, aval, fval = families.m6_from_branches(*params, a_branch=abr, f_branch=fbr)
+            if family == "m6s":
+                M = core.dephase(M)
             meta["solved"] = f"a{abr}={format_complex(aval)} f{fbr}={format_complex(fval)}"
             guaranteed = True
         elif family == "m8" and branches:
@@ -287,11 +287,11 @@ def cmd_spectrum(args) -> int:
         for z in _sorted_for_print(sp.values, tol.tau_spec):
             print(format_complex(z))
         if args.reduce:
-            cp = spectra.char_poly(M)
-            if not spectra.is_reciprocal(cp):
+            try:
+                q = spectra.reduce_reciprocal(spectra.char_poly(M))
+            except core.NotReciprocal:
                 print("reduced: not reciprocal")
             else:
-                q = spectra.reduce_reciprocal(cp)
                 print("reduced-roots:")
                 for y in _sorted_for_print(spectra.poly_roots(q, tol), tol.tau_spec):
                     print(format_complex(y))
@@ -462,15 +462,12 @@ def _sweep_matrices(order, rng):
         yield families.h44(b, c, d)
     elif order == 6:
         b, c, d, e = np.exp(2j * np.pi * rng.random(4))
-        for abr in "+-":
-            for fbr in "+-":
-                try:
-                    M, _, _ = families.m6_from_branches(
-                        b, c, d, e, a_branch=abr, f_branch=fbr
-                    )
-                except core.SingularBranch:
-                    continue
-                yield M
+        try:
+            points = list(families.m6_branch_points(b, c, d, e))
+        except core.SingularBranch:
+            return
+        for _, _, a, f in points:
+            yield families.m6(a, b, c, d, e, f)
     elif order == 8:
         b, c, d, f, g, h = np.exp(2j * np.pi * rng.random(6))
         yield families.d8a(b, c, d, f, g, h)

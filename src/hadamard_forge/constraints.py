@@ -10,13 +10,17 @@ P*S_s = P'*(u**2/x_{u+s} + u*K_s + x_{u-s}), with P' the product of the
 other parameters and K_s the ratios free of u.  The first constraint gives
 the closed-form u-branches; eliminating u between the first and the last
 leaves one reduced condition; order 8 keeps a third constraint that is
-solved numerically.  Solvers return SolutionBranch records so callers can
+solved numerically.  The order-6 reduced condition is quadratic in a, b
+and c and cubic in d and e; its solvers read the coefficients off the
+condition itself, by its values at roots of unity and an inverse DFT.
+Solvers return SolutionBranch records so callers can
 keep track of which sheet of the square or cube root they are on; every
 branch substitutes back to a residual at rounding level.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -34,7 +38,6 @@ from .core import (
 from .spectra import poly_roots
 
 PARAM_NAMES_4 = "abcd"
-PARAM_NAMES_6 = "abcdef"
 PARAM_NAMES_8 = "abcdefgh"
 
 
@@ -70,13 +73,13 @@ class SolutionBranch:
 def _check_nonzero(**params):
     for name, value in params.items():
         v = complex(value)
-        if v == 0 or not np.isfinite(v):
+        if v == 0 or not cmath.isfinite(v):
             raise InvalidParameter(f"parameter {name!r} must be finite and nonzero")
 
 
-def _quadratic_branches(name, lead, lin, const, degenerate_exc=DegenerateQuadratic):
+def _quadratic_branches(name, lead, lin, const):
     if lead == 0:
-        raise degenerate_exc(f"quadratic in {name!r} has vanishing leading coefficient")
+        raise DegenerateQuadratic(f"quadratic in {name!r} has vanishing leading coefficient")
     disc = lin * lin - 4.0 * lead * const
     root = np.sqrt(complex(disc))
     return (
@@ -207,59 +210,55 @@ def c6_reduced_residual(a, b, c, d, e) -> complex:
     return _reduced_residual((a, b, c, d, e))
 
 
-_C6_QUAD_PARTNERS = {"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b")}
+def _reduced_coefficients(unknown, **given):
+    """Ascending coefficients of the order-6 reduced condition in `unknown`.
+
+    The condition has degree n = 2 in a, b and c and n = 3 in d and e, so
+    its values at the n + 1 points w**-j, w = exp(2*pi*i/(n + 1)), fix it
+    exactly: they are the DFT of its coefficients, which the inverse DFT
+    returns.
+    """
+    names = sorted(set("abcde") - {unknown})
+    if sorted(given) != names:
+        raise InvalidParameter(f"expected values for {names}, got {sorted(given)}")
+    _check_nonzero(**given)
+    count = 3 if unknown in "abc" else 4
+    points = np.exp(-2j * np.pi * np.arange(count) / count)
+    return np.fft.ifft([_reduced_residual([given.get(n, u) for n in "abcde"]) for u in points])
 
 
 def c6_solve_quadratic(unknown: str, **given):
     """Both roots of the reduced condition in one of its quadratic unknowns.
 
     The reduced condition is quadratic in a, b and c.  For unknown u with
-    cyclic partners (p, q) it reads
-        d*e*(p*e - q*d) * u**2 - (q*d + p*e)*(p*d**2 - q*e**2) * u
-        + p*q*d*e*(p*e - q*d) = 0,
-    a singular parametrisation exactly when p*e = q*d.
+    cyclic partners (p, q), (b, c) for a, (c, a) for b and (a, b) for c, its
+    leading coefficient is d*e*(p*e - q*d), so the parametrisation is
+    singular where p*e = q*d.  SingularBranch is raised once that
+    coefficient falls to tau_entry times the product of the given moduli,
+    which on the torus is |p*e - q*d| <= tau_entry.
     """
-    if unknown not in _C6_QUAD_PARTNERS:
+    if unknown not in ("a", "b", "c"):
         raise InvalidParameter("quadratic unknowns are 'a', 'b' and 'c'")
-    names = sorted(set("abcde") - {unknown})
-    if sorted(given) != names:
-        raise InvalidParameter(f"expected values for {names}, got {sorted(given)}")
-    _check_nonzero(**given)
-    g = {k: complex(v) for k, v in given.items()}
-    p, q = (g[x] for x in _C6_QUAD_PARTNERS[unknown])
-    d, e = g["d"], g["e"]
-    if abs(p * e - q * d) <= DEFAULT_TOL.tau_entry * max(abs(p * e), abs(q * d), 1.0):
+    const, lin, lead = _reduced_coefficients(unknown, **given)
+    if abs(lead) <= DEFAULT_TOL.tau_entry * math.prod(abs(v) for v in given.values()):
         raise SingularBranch(
             f"coordinate singularity for {unknown!r}: partner relation "
             "p*e = q*d makes the quadratic collapse"
         )
-    lead = d * e * (p * e - q * d)
-    lin = -(q * d + p * e) * (p * d**2 - q * e**2)
-    const = p * q * d * e * (p * e - q * d)
     return _quadratic_branches(unknown, lead, lin, const)
 
 
 def c6_solve_cubic(unknown: str, tol: ToleranceConfig = DEFAULT_TOL, **given):
-    """All three roots of the reduced condition in d or e, numerically."""
+    """All three roots of the reduced condition in d or e, numerically.
+
+    Its leading coefficient is -a*b*c in d and a*b*c in e.
+    """
     if unknown not in ("d", "e"):
         raise InvalidParameter("cubic unknowns are 'd' and 'e'")
-    names = sorted(set("abcde") - {unknown})
-    if sorted(given) != names:
-        raise InvalidParameter(f"expected values for {names}, got {sorted(given)}")
-    _check_nonzero(**given)
-    g = {k: complex(v) for k, v in given.items()}
-    a, b, c = g["a"], g["b"], g["c"]
-    sym_sq = a * b**2 + a**2 * c + b * c**2
-    sym_lin = a**2 * b + b**2 * c + a * c**2
-    if unknown == "d":
-        e = g["e"]
-        coeffs = [a * b * c * e**3, e**2 * sym_lin, -e * sym_sq, -a * b * c]
-    else:
-        d = g["d"]
-        coeffs = [-a * b * c * d**3, -(d**2) * sym_sq, d * sym_lin, a * b * c]
+    coeffs = _reduced_coefficients(unknown, **given)
     if abs(coeffs[-1]) <= tol.tau_entry:
         raise DegenerateCubic(f"cubic in {unknown!r} has a vanishing leading term")
-    roots = poly_roots(np.asarray(coeffs, dtype=complex), tol)
+    roots = poly_roots(coeffs, tol)
     return [
         SolutionBranch(unknown, str(i + 1), complex(r))
         for i, r in enumerate(sorted(roots, key=lambda z: (z.real, z.imag)))

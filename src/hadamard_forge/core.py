@@ -52,10 +52,6 @@ class RootFindingFailure(HadamardForgeError, ArithmeticError):
     """Polynomial root iteration did not reach the required residual."""
 
 
-class NoConvergence(HadamardForgeError, ArithmeticError):
-    """Numeric constraint search exhausted its iteration budget."""
-
-
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Numeric tolerances: entrywise residuals, polynomial roots, spectra."""
@@ -183,13 +179,14 @@ def dephase(M) -> np.ndarray:
     Rows are normalised by their first entry, then columns by the updated
     first row.  Diagonal scalings preserve inverse orthogonality, and for
     Hadamard inputs the scalings are phases, so the property is kept.
-    Idempotent.
+    Idempotent bit for bit: a row or column already led by 1 is not
+    divided, since dividing by 1 + 0j can flip the sign of a zero part.
     """
     A = as_matrix(M)
     if np.any(A[:, 0] == 0) or np.any(A[0, :] == 0):
         raise InvalidParameter("dephasing needs nonzero first row and column")
-    A = A / A[:, [0]]
-    A = A / A[[0], :]
+    np.divide(A, A[:, [0]], out=A, where=A[:, [0]] != 1)
+    np.divide(A, A[[0], :], out=A, where=A[[0], :] != 1)
     A[:, 0] = 1.0
     A[0, :] = 1.0
     return A

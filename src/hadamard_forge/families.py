@@ -118,21 +118,8 @@ def bf_quartic_roots() -> tuple:
 
 
 def bf_dephased(d) -> np.ndarray:
-    """Dephased form of bf(d), written out in powers of d."""
-    d = complex(d)
-    if d == 0:
-        raise InvalidParameter("d must be nonzero")
-    return np.array(
-        [
-            [1, 1, 1, 1, 1, 1],
-            [1, -1, -1 / d, -1 / d**2, 1 / d**2, 1 / d],
-            [1, -d, 1, 1 / d**2, -1 / d**3, 1 / d**2],
-            [1, -(d**2), d**2, -1, 1 / d**2, -1 / d**2],
-            [1, d**2, -(d**3), d**2, 1, -1 / d],
-            [1, d, d**2, -(d**2), -d, -1],
-        ],
-        dtype=complex,
-    )
+    """Dephased form of bf(d)."""
+    return dephase(bf(d))
 
 
 def d6() -> np.ndarray:
@@ -171,41 +158,34 @@ def m6(a, b, c, d, e, f) -> np.ndarray:
 
 
 def m6_standard(a, b, c, d, e, f) -> np.ndarray:
-    """Dephased order-6 form, written as the printed ratio pattern.
+    """Dephased order-6 form: dephase(m6(a..f)), first row and column ones."""
+    return dephase(m6(a, b, c, d, e, f))
 
-    Coincides entrywise with dephase(m6(a..f)) for the row-first dephasing
-    convention used throughout.
+
+def m6_branch_points(b, c, d, e):
+    """The four (a, f) points of the family over (b, c, d, e).
+
+    a comes from the reduced quadratic, f from the first constraint.
+    Yields (a_label, f_label, a, f) in the order a+ f+, a+ f-, a- f+,
+    a- f-; raises SingularBranch before the first point where the
+    a-quadratic collapses.
     """
-    vals = [complex(v) for v in (a, b, c, d, e, f)]
-    if any(v == 0 for v in vals):
-        raise InvalidParameter("all six parameters must be nonzero")
-    a, b, c, d, e, f = vals
-    return np.array(
-        [
-            [1, 1, 1, 1, 1, 1],
-            [1, a*a/(b*c), a*b/(c*c), a*f/(c*d), a*d/(c*e), a*e/(c*f)],
-            [1, a*c/(b*b), a*a/(b*c), a*e/(b*d), a*f/(b*e), a*d/(b*f)],
-            [1, a*d/(b*f), a*d/(c*e), -1, -a*d/(c*e), -a*d/(b*f)],
-            [1, a*e/(b*d), a*e/(c*f), -a*e/(b*d), -1, -a*e/(c*f)],
-            [1, a*f/(b*e), a*f/(c*d), -a*f/(c*d), -a*f/(b*e), -1],
-        ],
-        dtype=complex,
-    )
+    for abr in c6_solve_quadratic("a", b=b, c=c, d=d, e=e):
+        for fbr in c6_solve_f(abr.value, b, c, d, e):
+            yield abr.branch_label, fbr.branch_label, abr.value, fbr.value
 
 
-def m6_from_branches(b, c, d, e, a_branch="+", f_branch="+", standard=False):
-    """Four-parameter family point: a from the reduced quadratic, then f.
+def m6_from_branches(b, c, d, e, a_branch="+", f_branch="+"):
+    """Four-parameter family point on the branches a_branch and f_branch.
 
     Returns (matrix, a_value, f_value).  The matrix is Hadamard exactly
     when the solved a and f land on the torus, which happens on a large
     region of torus (b, c, d, e) but not everywhere.
     """
-    branches_a = {br.branch_label: br for br in c6_solve_quadratic("a", b=b, c=c, d=d, e=e)}
-    a = branches_a[a_branch].value
-    branches_f = {br.branch_label: br for br in c6_solve_f(a, b, c, d, e)}
-    f = branches_f[f_branch].value
-    build = m6_standard if standard else m6
-    return build(a, b, c, d, e, f), a, f
+    for abr, fbr, a, f in m6_branch_points(b, c, d, e):
+        if (abr, fbr) == (a_branch, f_branch):
+            return m6(a, b, c, d, e, f), a, f
+    raise InvalidParameter(f"branches are '+' and '-', got a{a_branch} f{f_branch}")
 
 
 def _d6_family(c, d, e, sign):

@@ -247,47 +247,35 @@ def _reduction_candidate(coeffs):
     return q
 
 
-def _reduction_residual(coeffs, q):
-    c = np.asarray(coeffs, dtype=complex)
-    n = len(c) - 1
-    k = n // 2
-    xs = 1.3 * np.exp(1j * np.linspace(0.1, 2 * np.pi, 2 * k + 1))
-    pv = polyval(c, xs)
-    qv = polyval(q, 1.0 / xs - xs) * xs**k
-    scale = float(np.sum(np.abs(c) * 1.3 ** np.arange(n + 1)))
-    return float(np.max(np.abs(pv - qv))) / scale
-
-
-def is_reciprocal(p, rel_tol: float = 1e-9) -> bool:
-    """True when p admits the y = 1/x - x degree-halving substitution.
-
-    Detected constructively: the candidate reduced polynomial is built from
-    the low-order half of the coefficients and accepted when the identity
-    q(1/x - x) * x**k = p(x) holds on sample points.  Equivalent to the
-    coefficient pattern c[2k-j] = (-1)**(k+j) * c[j].
-    """
-    c = trim(p)
-    n = len(c) - 1
-    if n < 2 or n % 2 != 0:
-        return False
-    return _reduction_residual(c, _reduction_candidate(c)) <= rel_tol
-
-
 def reduce_reciprocal(p) -> np.ndarray:
     """Degree-k polynomial q in y = 1/x - x with q(1/x - x) * x**k = p(x).
 
-    Raises NotReciprocal when the identity fails on sample points (checked
-    after construction, so near-reciprocal numerical inputs pass with their
-    coefficient noise symmetrised away).
+    The candidate q is built from the low-order half of the coefficients;
+    NotReciprocal is raised when the identity fails on sample points with
+    |x| = 1.3 beyond 1e-9 relative (checked after construction, so
+    near-reciprocal numerical inputs pass with their coefficient noise
+    symmetrised away).  Equivalent to the coefficient pattern
+    c[2k-j] = (-1)**(k+j) * c[j].
     """
     c = trim(p)
     n = len(c) - 1
     if n < 2 or n % 2 != 0:
         raise NotReciprocal("reduction needs an even degree >= 2")
     q = _reduction_candidate(c)
-    if _reduction_residual(c, q) > 1e-9:
+    xs = 1.3 * np.exp(1j * np.linspace(0.1, 2 * np.pi, n + 1))
+    gap = np.max(np.abs(polyval(c, xs) - polyval(q, 1.0 / xs - xs) * xs ** (n // 2)))
+    if gap > 1e-9 * np.sum(np.abs(c) * 1.3 ** np.arange(n + 1)):
         raise NotReciprocal("polynomial does not satisfy the y-substitution pattern")
     return q
+
+
+def is_reciprocal(p) -> bool:
+    """True when p admits the y = 1/x - x substitution: reduce_reciprocal accepts it."""
+    try:
+        reduce_reciprocal(p)
+    except NotReciprocal:
+        return False
+    return True
 
 
 def lift_roots(yroots) -> np.ndarray:

@@ -191,10 +191,10 @@ def test_criterion_08_standard_form_branch_independence():
             for b in (-c * d / e, c * e * e / (d * d)):
                 for abr in "+-":
                     for fbr in "+-":
-                        Ms, _, _ = m6_from_branches(
-                            b, c, d, e, a_branch=abr, f_branch=fbr, standard=True
+                        M, _, _ = m6_from_branches(
+                            b, c, d, e, a_branch=abr, f_branch=fbr
                         )
-                        cp = char_poly(Ms)
+                        cp = char_poly(dephase(M))
                         assert np.max(np.abs(cp - expected)) <= 1e-7
                         assert abs(cp[3]) <= 1e-7
 

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hadamard_forge import d6, d61, d61_family, d81, bf, bf_quartic_roots
+from hadamard_forge import bf, bf_quartic_roots, d6, d61, d61_family, d81, dephase
 from hadamard_forge.cli import (
     EXIT_CONSTRAINT,
     EXIT_FALSE,
@@ -61,6 +63,17 @@ class TestSerialization:
         assert meta["family"] == "d81"
         assert serialize_matrix(M2, meta, "json") == text
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308]),
+        min_size=2 * n * n, max_size=2 * n * n)))
+    def test_json_roundtrip_bit_exact(self, parts):
+        n = int(round((len(parts) / 2) ** 0.5))
+        M = np.array(parts, dtype=float).view(complex).reshape(n, n)
+        M2, _ = parse_matrix(serialize_matrix(M))
+        assert M2.tobytes() == M.tobytes()
+
     def test_csv_roundtrip_byte_identical(self):
         M = bf(bf_quartic_roots()[0])
         text = serialize_matrix(M, {"family": "bf"}, "csv")
@@ -107,6 +120,30 @@ class TestGen:
         assert code == EXIT_OK
         code, _, _ = run(capsys, "verify", str(out))
         assert code == EXIT_OK
+
+    def test_gen_m6s_branch_mode_is_dephased_m6(self, tmp_path, capsys):
+        b_angle = np.pi + 0.5 + 1.1 - 2.0
+        outs = {}
+        for family in ("m6", "m6s"):
+            outs[family] = tmp_path / f"{family}.json"
+            code, _, _ = run(
+                capsys,
+                "gen", family,
+                "--params", f"{b_angle!r}", "0.5", "1.1", "2.0",
+                "--branch", "f-", "a+",
+                "--out", str(outs[family]),
+            )
+            assert code == EXIT_OK
+        (M, meta), (Ms, meta_s) = (parse_matrix(outs[f].read_text()) for f in ("m6", "m6s"))
+        assert np.array_equal(Ms, dephase(M))
+        assert meta_s["solved"] == meta["solved"]
+
+    def test_gen_m6_unknown_branch_label_is_construction_failure(self, capsys):
+        code, _, err = run(
+            capsys, "gen", "m6", "--params", "0.31,0.7,1.9,2.6", "--branch", "fx", "a+"
+        )
+        assert code == EXIT_CONSTRAINT
+        assert "construction failed" in err
 
     def test_gen_m6_branch_mode_off_surface_is_constraint_failure(
         self, tmp_path, capsys

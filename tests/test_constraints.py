@@ -29,6 +29,7 @@ from hadamard_forge import (
 from hadamard_forge.constraints import (
     _cyclic_ratio_residuals_and_jacobian,
     _quadratic_in_last,
+    _reduced_coefficients,
 )
 from conftest import random_phases
 
@@ -77,6 +78,29 @@ def c6_reduced_expanded(a, b, c, d, e):
         + a * c**2 * d * e**2
         + a * b * c * e**3
     )
+
+
+# the cyclic partners (p, q) of each quadratic unknown of the reduced condition
+C6_QUAD_PARTNERS = {"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b")}
+
+
+def c6_reduced_coefficients(unknown, **g):
+    """Ascending coefficients of the order-6 reduced condition, the oracle."""
+    if unknown in C6_QUAD_PARTNERS:
+        p, q = (g[x] for x in C6_QUAD_PARTNERS[unknown])
+        d, e = g["d"], g["e"]
+        lead = d * e * (p * e - q * d)
+        lin = -(q * d + p * e) * (p * d**2 - q * e**2)
+        const = p * q * d * e * (p * e - q * d)
+        return np.array([const, lin, lead])
+    a, b, c = g["a"], g["b"], g["c"]
+    sym_sq = a * b**2 + a**2 * c + b * c**2
+    sym_lin = a**2 * b + b**2 * c + a * c**2
+    if unknown == "d":
+        e = g["e"]
+        return np.array([a * b * c * e**3, e**2 * sym_lin, -e * sym_sq, -a * b * c])
+    d = g["d"]
+    return np.array([-a * b * c * d**3, -(d**2) * sym_sq, d * sym_lin, a * b * c])
 
 
 def c8_expanded(a, b, c, d, e, f, g, h):
@@ -387,6 +411,54 @@ class TestPairPathConsistency:
                 for br in c6_solve_f(a, b, c, d, e)
             ]
             assert min(second) > 1e-8
+
+
+class TestReducedCoefficients:
+    def given(self, unknown, values):
+        return dict(zip(sorted(set("abcde") - {unknown}), values))
+
+    def test_match_expanded_off_the_torus(self, rng):
+        # relative to the largest coefficient: a coefficient that is small
+        # through cancellation carries the rounding of the large ones
+        for unknown in "abcde":
+            for p in off_torus_points(rng, 4):
+                given = self.given(unknown, p)
+                want = c6_reduced_coefficients(unknown, **given)
+                got = _reduced_coefficients(unknown, **given)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_quadratic_branch_labels_match_expanded_roots(self, rng):
+        for unknown in "abc":
+            for _ in range(50):
+                given = self.given(unknown, random_phases(rng, 4))
+                const, lin, lead = c6_reduced_coefficients(unknown, **given)
+                root = np.sqrt(lin * lin - 4.0 * lead * const)
+                want = {"+": (-lin + root) / (2.0 * lead), "-": (-lin - root) / (2.0 * lead)}
+                for br in c6_solve_quadratic(unknown, **given):
+                    assert abs(br.value - want[br.branch_label]) < 1e-9
+
+    def test_cubic_branch_labels_match_expanded_roots(self, rng):
+        for unknown in "de":
+            for _ in range(50):
+                given = self.given(unknown, random_phases(rng, 4))
+                coeffs = c6_reduced_coefficients(unknown, **given)
+                want = sorted(np.roots(coeffs[::-1]), key=lambda z: (z.real, z.imag))
+                got = c6_solve_cubic(unknown, **given)
+                assert [br.branch_label for br in got] == ["1", "2", "3"]
+                assert np.allclose([br.value for br in got], want, rtol=0, atol=1e-8)
+
+    def test_singular_threshold_on_the_torus(self, rng):
+        # p*e - q*d of modulus 1e-11 is singular, 1e-9 is not
+        for _ in range(10):
+            b, c, d = random_phases(rng, 3)
+            for eps, singular in ((1e-11, True), (1e-9, False)):
+                e = c * d / b * np.exp(1j * eps)
+                if singular:
+                    with pytest.raises(SingularBranch):
+                        c6_solve_quadratic("a", b=b, c=c, d=d, e=e)
+                else:
+                    assert len(c6_solve_quadratic("a", b=b, c=c, d=d, e=e)) == 2
 
 
 class TestOrder8:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadamard_forge import (
     InvalidDimensions,
@@ -20,6 +22,11 @@ from hadamard_forge import (
     unimodularity_deviation,
 )
 from conftest import random_phases
+
+
+# real and imaginary parts: exact signed zeros and units, which dephasing
+# may turn into one another, and general values
+PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1e3, 1e3)
 
 
 class TestCirculant:
@@ -147,6 +154,15 @@ class TestDephase:
         M = bf(bf_quartic_roots()[0])
         assert is_hadamard(M)
         assert is_hadamard(dephase(M))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.builds(complex, PARTS, PARTS).filter(lambda z: abs(z) >= 1e-3),
+        min_size=n * n, max_size=n * n)))
+    def test_idempotent_bit_for_bit(self, entries):
+        n = int(round(len(entries) ** 0.5))
+        D = dephase(np.array(entries, dtype=complex).reshape(n, n))
+        assert dephase(D).tobytes() == D.tobytes()
 
     def test_d6_already_dephased(self):
         assert np.array_equal(dephase(d6()), d6())

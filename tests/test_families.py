@@ -32,6 +32,7 @@ from hadamard_forge import (
     lift_roots,
     m4,
     m6,
+    m6_branch_points,
     m6_from_branches,
     m6_standard,
     m8,
@@ -49,6 +50,36 @@ from conftest import assert_spectrum, random_phases
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
 SQ6 = np.sqrt(6.0)
+
+
+def bf_dephased_pattern(d):
+    """The dephased form of bf(d) written out in powers of d, the oracle."""
+    return np.array(
+        [
+            [1, 1, 1, 1, 1, 1],
+            [1, -1, -1 / d, -1 / d**2, 1 / d**2, 1 / d],
+            [1, -d, 1, 1 / d**2, -1 / d**3, 1 / d**2],
+            [1, -(d**2), d**2, -1, 1 / d**2, -1 / d**2],
+            [1, d**2, -(d**3), d**2, 1, -1 / d],
+            [1, d, d**2, -(d**2), -d, -1],
+        ],
+        dtype=complex,
+    )
+
+
+def m6_standard_pattern(a, b, c, d, e, f):
+    """The dephased form of m6(a..f) as its printed ratio pattern, the oracle."""
+    return np.array(
+        [
+            [1, 1, 1, 1, 1, 1],
+            [1, a*a/(b*c), a*b/(c*c), a*f/(c*d), a*d/(c*e), a*e/(c*f)],
+            [1, a*c/(b*b), a*a/(b*c), a*e/(b*d), a*f/(b*e), a*d/(b*f)],
+            [1, a*d/(b*f), a*d/(c*e), -1, -a*d/(c*e), -a*d/(b*f)],
+            [1, a*e/(b*d), a*e/(c*f), -a*e/(b*d), -1, -a*e/(c*f)],
+            [1, a*f/(b*e), a*f/(c*d), -a*f/(c*d), -a*f/(b*e), -1],
+        ],
+        dtype=complex,
+    )
 
 
 def ec1_coeffs(b, c, d):
@@ -237,9 +268,13 @@ class TestBF:
         expected = np.array([1, -SQ6, 3, -2 * SQ2, 3, -SQ6, 1])
         assert np.max(np.abs(cp - expected)) < 1e-8
 
-    def test_dephased_printed_form(self):
-        for d in bf_quartic_roots()[:2]:
-            assert np.max(np.abs(dephase(bf(d)) - bf_dephased(d))) < 1e-12
+    def test_dephased_printed_form(self, rng):
+        for d in [*bf_quartic_roots(), *random_phases(rng, 20)]:
+            assert np.max(np.abs(bf_dephased(d) - bf_dephased_pattern(d))) < 1e-12
+
+    def test_dephased_rejects_zero(self):
+        with pytest.raises(InvalidParameter):
+            bf_dephased(0)
 
     def test_dephased_spectrum(self):
         assert_spectrum(
@@ -267,7 +302,30 @@ class TestM6:
 
     def test_standard_form_equals_dephased(self, rng):
         params = random_phases(rng, 6)
-        assert np.max(np.abs(m6_standard(*params) - dephase(m6(*params)))) < 1e-12
+        assert np.array_equal(m6_standard(*params), dephase(m6(*params)))
+
+    def test_standard_form_equals_printed_ratio_pattern(self, rng):
+        for params in random_phases(rng, (20, 6)) * np.exp(0.5 * rng.normal(size=(20, 6))):
+            want = m6_standard_pattern(*params)
+            assert np.max(np.abs(m6_standard(*params) - want)) < 1e-12 * np.max(np.abs(want))
+
+    def test_standard_form_rejects_zero(self):
+        with pytest.raises(InvalidParameter):
+            m6_standard(1, 1, 0, 1, 1, 1)
+
+    def test_branch_points_feed_from_branches(self, rng):
+        b, c, d, e = random_phases(rng, 4)
+        points = list(m6_branch_points(b, c, d, e))
+        assert [(abr, fbr) for abr, fbr, _, _ in points] == [
+            ("+", "+"), ("+", "-"), ("-", "+"), ("-", "-")]
+        for abr, fbr, a, f in points:
+            M, aval, fval = m6_from_branches(b, c, d, e, abr, fbr)
+            assert (aval, fval) == (a, f)
+            assert np.array_equal(M, m6(a, b, c, d, e, f))
+
+    def test_unknown_branch_label_rejected(self, rng):
+        with pytest.raises(InvalidParameter):
+            m6_from_branches(*random_phases(rng, 4), a_branch="x")
 
     def test_branch_construction_on_specialised_surface(self, rng):
         c, d, e = random_phases(rng, 3)
@@ -374,10 +432,10 @@ class TestStandardFormCollapse:
                 b = -c * d / e if surface == "first" else c * e * e / (d * d)
                 for abr in "+-":
                     for fbr in "+-":
-                        Ms, _, _ = m6_from_branches(
-                            b, c, d, e, a_branch=abr, f_branch=fbr, standard=True
+                        M, _, _ = m6_from_branches(
+                            b, c, d, e, a_branch=abr, f_branch=fbr
                         )
-                        cp = char_poly(Ms)
+                        cp = char_poly(dephase(M))
                         assert np.max(np.abs(cp - expected)) < 1e-7
                         assert abs(cp[3]) < 1e-7
 
@@ -385,7 +443,8 @@ class TestStandardFormCollapse:
         # trailing powers denote multiplicities: each nontrivial eigenvalue
         # appears twice
         c, d, e = random_phases(rng, 3)
-        Ms, _, _ = m6_from_branches(-c * d / e, c, d, e, standard=True)
+        M, _, _ = m6_from_branches(-c * d / e, c, d, e)
+        Ms = dephase(M)
         lam = -(1 + 1j * np.sqrt(5.0)) / SQ6
         mu = (-1 + 1j * np.sqrt(5.0)) / SQ6
         assert_spectrum(spectrum(Ms).values, [-1, 1, lam, lam, mu, mu], 1e-7)

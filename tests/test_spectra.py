@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadamard_forge import (
     NotNormal,
@@ -10,10 +12,14 @@ from hadamard_forge import (
     char_poly,
     d6,
     d61,
+    d81,
     dephase,
+    h4,
     is_reciprocal,
     lift_roots,
+    m6_from_branches,
     multiset_match,
+    permutation_matrix,
     poly_roots,
     reduce_reciprocal,
     spectrum,
@@ -221,6 +227,25 @@ class TestSpectrumAndEquivalence:
         perm = rng.permutation(6)
         P = permutation_matrix(list(perm))
         assert unitary_equivalent(M, P @ M @ P.T)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["h4", "m6", "d61", "d81"]),
+        angles=st.lists(st.floats(0.0, 2 * np.pi), min_size=3, max_size=3),
+        data=st.data(),
+    )
+    def test_spectrum_invariant_under_permutation_conjugation(self, family, angles, data):
+        c, d, e = np.exp(1j * np.array(angles))
+        if family == "h4":
+            M = h4(c, d, e)
+        elif family == "m6":
+            # on the surface b = -c*d/e every branch is Hadamard
+            M, _, _ = m6_from_branches(-c * d / e, c, d, e)
+        else:
+            M = {"d61": d61, "d81": d81}[family]()
+        perm = data.draw(st.permutations(range(M.shape[0])))
+        P = permutation_matrix(perm)
+        assert spectrum(P @ M @ P.T).matches(spectrum(M), 1e-8)
 
     def test_reflexive_symmetric(self):
         assert unitary_equivalent(d6(), d6())
