@@ -37,6 +37,7 @@ from .core import (
 from .spectra import (
     SpectrumMultiset,
     char_poly,
+    distinct_spectra,
     is_normal,
     is_reciprocal,
     lift_roots,

@@ -455,46 +455,45 @@ def _solve8(unknowns, values, tol, args):
     return EXIT_OK
 
 
-def _sweep_matrices(order, rng):
+# phases drawn per sample for each sweep order
+_SWEEP_PHASES = {4: 3, 6: 4, 8: 6}
+
+
+def _sweep_matrices(order, seed, samples):
+    """Every matrix a sweep samples, in sample order, as one (N, m, m) stack.
+
+    Sample i draws its torus phases from default_rng([seed, i]).  Order 4
+    takes h4 and h44, order 6 the four (a±, f±) points of the family
+    (none where the a-quadratic is singular), order 8 one d8a.
+    """
+    if order not in _SWEEP_PHASES:
+        raise CliError("sweep supports orders 4, 6 and 8", EXIT_USAGE)
+    k = _SWEEP_PHASES[order]
+    draws = [np.exp(2j * np.pi * np.random.default_rng([seed, i]).random(k))
+             for i in range(samples)]
     if order == 4:
-        b, c, d = np.exp(2j * np.pi * rng.random(3))
-        yield families.h4(b, c, d)
-        yield families.h44(b, c, d)
-    elif order == 6:
-        b, c, d, e = np.exp(2j * np.pi * rng.random(4))
+        return np.array([f(*p) for p in draws for f in (families.h4, families.h44)])
+    if order == 8:
+        return np.array([families.d8a(*p) for p in draws])
+    rows = []
+    for b, c, d, e in draws:
         try:
             points = list(families.m6_branch_points(b, c, d, e))
         except core.SingularBranch:
-            return
-        for _, _, a, f in points:
-            yield families.m6(a, b, c, d, e, f)
-    elif order == 8:
-        b, c, d, f, g, h = np.exp(2j * np.pi * rng.random(6))
-        yield families.d8a(b, c, d, f, g, h)
-    else:
-        raise CliError("sweep supports orders 4, 6 and 8", EXIT_USAGE)
+            continue
+        rows.extend((a, b, c, d, e, f) for _, _, a, f in points)
+    return families.m6(*np.array(rows, dtype=complex).reshape(-1, 6).T)
 
 
 def cmd_sweep(args) -> int:
     tol = _tolerances(args)
     if args.samples < 1:
         raise CliError("--samples must be >= 1", EXIT_USAGE)
-    hits = 0
-    reps = []
-    for i in range(args.samples):
-        rng = np.random.default_rng([int(args.seed), i])
-        for M in _sweep_matrices(args.order, rng):
-            if not core.is_hadamard(M, tol):
-                continue
-            hits += 1
-            sp = spectra.spectrum(M)
-            for rep in reps:
-                if sp.matches(rep, tol.tau_spec):
-                    break
-            else:
-                reps.append(sp)
+    stack = _sweep_matrices(args.order, int(args.seed), args.samples)
+    hadamard = stack[core.is_hadamard(stack, tol)]
+    reps = spectra.distinct_spectra(spectra.spectrum(hadamard), tol.tau_spec)
     print(f"samples: {args.samples}")
-    print(f"hadamard_hits: {hits}")
+    print(f"hadamard_hits: {len(hadamard)}")
     print(f"distinct_spectra: {len(reps)}")
     print(f"seed: {args.seed}")
     return EXIT_OK

@@ -87,13 +87,24 @@ class ParamVector:
         object.__setattr__(self, "on_torus", tuple(bool(f) for f in flags))
 
 
-def as_matrix(M) -> np.ndarray:
-    """Copy input to a square complex matrix, rejecting NaN/Inf entries."""
+def as_stack(M) -> np.ndarray:
+    """Copy input to a stack (..., m, m) of square complex matrices.
+
+    A 2-d input is the stack of one matrix.  NaN/Inf entries are rejected.
+    """
     A = np.array(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise InvalidDimensions(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise InvalidParameter("matrix entries must be finite")
+    return A
+
+
+def as_matrix(M) -> np.ndarray:
+    """Copy input to a square complex matrix, rejecting NaN/Inf entries."""
+    A = as_stack(M)
+    if A.ndim != 2:
+        raise InvalidDimensions(f"expected a square matrix, got shape {A.shape}")
     return A
 
 
@@ -102,19 +113,25 @@ def _require_nonzero(A: np.ndarray):
         raise InvalidParameter("all entries must be nonzero")
 
 
+def _per_matrix(values):
+    """A plain float for one matrix, the array of values for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
 def circulant(first_row) -> np.ndarray:
     """Circulant matrix whose row i is `first_row` right-shifted i times.
 
-    circulant([a, b, c]) has rows (a, b, c), (c, a, b), (b, c, a).
+    circulant([a, b, c]) has rows (a, b, c), (c, a, b), (b, c, a).  A stack
+    of first rows (..., k) gives the stack of circulants (..., k, k).
     """
     row = np.asarray(first_row, dtype=complex)
-    if row.ndim != 1 or len(row) < 1:
-        raise InvalidDimensions("first_row must be a nonempty 1-d sequence")
+    if row.ndim < 1 or row.shape[-1] < 1:
+        raise InvalidDimensions("first_row must be a nonempty sequence")
     if np.any(row == 0) or not np.all(np.isfinite(row)):
         raise InvalidParameter("circulant entries must be finite and nonzero")
-    k = len(row)
+    k = row.shape[-1]
     idx = (np.arange(k)[None, :] - np.arange(k)[:, None]) % k
-    return row[idx]
+    return row.take(idx, axis=-1)
 
 
 def negacirculant2(a, b) -> np.ndarray:
@@ -125,52 +142,78 @@ def negacirculant2(a, b) -> np.ndarray:
     return np.array([[a, b], [-b, a]], dtype=complex)
 
 
+def _inv_transpose(A: np.ndarray) -> np.ndarray:
+    return (1.0 / A).swapaxes(-1, -2).copy()
+
+
 def entrywise_inv_transpose(M) -> np.ndarray:
-    """Entrywise reciprocal of the transpose: result[i, j] = 1 / M[j, i]."""
-    A = as_matrix(M)
+    """Entrywise reciprocal of the transpose: result[i, j] = 1 / M[j, i].
+
+    Accepts a stack (..., m, m) and transposes each matrix.
+    """
+    A = as_stack(M)
     _require_nonzero(A)
-    return (1.0 / A).T.copy()
+    return _inv_transpose(A)
 
 
 def assemble_sylvester(A, B) -> np.ndarray:
-    """Stack blocks [[A, B], [1/B^t, -1/A^t]] into a 2n x 2n matrix."""
-    A = as_matrix(A)
-    B = as_matrix(B)
+    """Stack blocks [[A, B], [1/B^t, -1/A^t]] into a 2n x 2n matrix.
+
+    Stacks of blocks (..., n, n) give the stack (..., 2n, 2n).
+    """
+    A = as_stack(A)
+    B = as_stack(B)
     if A.shape != B.shape:
         raise InvalidDimensions(f"block shapes differ: {A.shape} vs {B.shape}")
     _require_nonzero(A)
     _require_nonzero(B)
-    return np.block(
-        [[A, B], [entrywise_inv_transpose(B), -entrywise_inv_transpose(A)]]
-    )
+    n = A.shape[-1]
+    M = np.empty(A.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    M[..., :n, :n] = A
+    M[..., :n, n:] = B
+    M[..., n:, :n] = _inv_transpose(B)
+    M[..., n:, n:] = -_inv_transpose(A)
+    return M
 
 
-def orthogonality_residual(M) -> float:
-    """Max-abs deviation of M @ (1/M)^t from m*I."""
-    A = as_matrix(M)
+def _orthogonality_residual(A: np.ndarray) -> np.ndarray:
+    m = A.shape[-1]
+    R = A @ _inv_transpose(A)
+    R -= m * np.eye(m)
+    return np.max(np.abs(R), axis=(-2, -1))
+
+
+def _unimodularity_deviation(A: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(np.abs(A) - 1.0), axis=(-2, -1))
+
+
+def orthogonality_residual(M):
+    """Max-abs deviation of M @ (1/M)^t from m*I; one value per matrix of a stack."""
+    A = as_stack(M)
     _require_nonzero(A)
-    m = A.shape[0]
-    return float(np.max(np.abs(A @ entrywise_inv_transpose(A) - m * np.eye(m))))
+    return _per_matrix(_orthogonality_residual(A))
 
 
-def unimodularity_deviation(M) -> float:
-    """Max over entries of | |entry| - 1 |."""
-    A = as_matrix(M)
-    return float(np.max(np.abs(np.abs(A) - 1.0)))
+def unimodularity_deviation(M):
+    """Max over entries of | |entry| - 1 |; one value per matrix of a stack."""
+    return _per_matrix(_unimodularity_deviation(as_stack(M)))
 
 
-def is_hadamard(M, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def is_hadamard(M, tol: ToleranceConfig = DEFAULT_TOL):
     """True when all entries are unimodular and rows are mutually orthogonal.
 
-    Never raises: zero entries or a bad shape simply return False.
+    Never raises: zero or non-finite entries or a bad shape simply return
+    False.  A stack (..., m, m) gives a boolean array with one decision per
+    matrix, each the decision for that matrix alone.
     """
-    try:
-        A = as_matrix(M)
-        if unimodularity_deviation(A) > tol.tau_entry:
-            return False
-        return orthogonality_residual(A) <= tol.tau_entry * A.shape[0]
-    except HadamardForgeError:
+    A = np.asarray(M, dtype=complex)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] == 0:
         return False
+    # NaN deviations compare False; a matrix that passes has no zero or
+    # non-finite entry, so only those go through the reciprocal residual
+    ok = np.asarray(_unimodularity_deviation(A) <= tol.tau_entry)
+    ok[ok] = _orthogonality_residual(A[ok]) <= tol.tau_entry * A.shape[-1]
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def dephase(M) -> np.ndarray:

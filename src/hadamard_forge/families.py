@@ -153,8 +153,12 @@ def d61() -> np.ndarray:
 
 
 def m6(a, b, c, d, e, f) -> np.ndarray:
-    """Raw order-6 block form from circulant blocks (a,b,c) and (d,e,f)."""
-    return assemble_sylvester(circulant([a, b, c]), circulant([d, e, f]))
+    """Raw order-6 block form from circulant blocks (a,b,c) and (d,e,f).
+
+    Parameter arrays of one shape (...) give the stack (..., 6, 6).
+    """
+    return assemble_sylvester(circulant(np.stack([a, b, c], axis=-1)),
+                              circulant(np.stack([d, e, f], axis=-1)))
 
 
 def m6_standard(a, b, c, d, e, f) -> np.ndarray:
@@ -234,15 +238,20 @@ def d62_family(c, d, e) -> np.ndarray:
 # ------------------------------------------------------------ order 8 & up
 
 def m8(a, b, c, d, e, f, g, h) -> np.ndarray:
-    """Raw order-8 block form from circulant blocks (a..d) and (e..h)."""
-    return assemble_sylvester(circulant([a, b, c, d]), circulant([e, f, g, h]))
+    """Raw order-8 block form from circulant blocks (a..d) and (e..h).
+
+    Parameter arrays of one shape (...) give the stack (..., 8, 8).
+    """
+    return assemble_sylvester(circulant(np.stack([a, b, c, d], axis=-1)),
+                              circulant(np.stack([e, f, g, h], axis=-1)))
 
 
 def m8_from_h_branch(a, b, c, d, e, f, g, h_branch="+"):
     """Order-8 matrix with h solved from the first constraint."""
-    branches = {br.branch_label: br for br in c8_solve_h(a, b, c, d, e, f, g)}
-    h = branches[h_branch].value
-    return m8(a, b, c, d, e, f, g, h), h
+    for br in c8_solve_h(a, b, c, d, e, f, g):
+        if br.branch_label == h_branch:
+            return m8(a, b, c, d, e, f, g, br.value), br.value
+    raise InvalidParameter(f"branches are '+' and '-', got h{h_branch}")
 
 
 def double(A, B, diag=None, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -13,6 +13,9 @@ x**2 + y*x - 1 = 0.
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
 from .core import (
@@ -23,6 +26,7 @@ from .core import (
     RootFindingFailure,
     ToleranceConfig,
     as_matrix,
+    as_stack,
 )
 
 # Accept a cluster of near-coincident roots as one multiple root only when
@@ -352,11 +356,62 @@ class SpectrumMultiset:
         return float(np.max(np.abs(np.abs(self.values) - 1.0)))
 
 
-def spectrum(M) -> SpectrumMultiset:
-    """Eigenvalues of M/sqrt(m) as a tolerance-aware multiset."""
-    A = as_matrix(M)
-    m = A.shape[0]
-    return SpectrumMultiset(np.linalg.eigvals(A / np.sqrt(m)))
+def spectrum(M):
+    """Eigenvalues of M/sqrt(m) as a tolerance-aware multiset.
+
+    A stack (N, m, m) is diagonalised in one call and gives the list of
+    its N multisets.
+    """
+    A = as_stack(M)
+    m = A.shape[-1]
+    A /= np.sqrt(m)
+    ev = np.linalg.eigvals(A)
+    if ev.ndim == 1:
+        return SpectrumMultiset(ev)
+    return [SpectrumMultiset(v) for v in ev.reshape(-1, m)]
+
+
+def _cell_width(spectra, tol: float) -> float:
+    """Side of the trace cells that distinct_spectra files spectra in.
+
+    Two multisets of length <= m that multiset_match accepts at tol have
+    exact sums within m*tol of each other, since |sum(a) - sum(b)| <=
+    sum|a_i - b_sigma(i)|, and each computed sum lies within m*eps*scale of
+    its exact value (scale: the largest sum|values|).  The width is twice
+    that bound with room to spare, so the rounding of sum/width cannot move
+    two matching spectra further apart than neighbouring cells.
+    """
+    m = max((len(s) for s in spectra), default=0)
+    scale = max((sum(map(abs, s.values.tolist())) for s in spectra), default=0.0)
+    return 2.0 * (m * tol + 4.0 * m * np.finfo(float).eps * scale)
+
+
+def distinct_spectra(spectra, tol: float) -> list:
+    """Representatives of `spectra` under first-match classification.
+
+    Each spectrum, in order, becomes a representative unless multiset_match
+    accepts it against an earlier one.  Representatives are filed by the
+    complex sum of their values in square cells of _cell_width, and only
+    the 3x3 cells around a spectrum's own can hold a match, so the result
+    equals comparing with every representative.  When the width is not a
+    positive finite number, or a sum is not finite, all spectra share one
+    cell and every representative is compared.
+    """
+    spectra = list(spectra)
+    width = _cell_width(spectra, tol)
+    sums = [complex(sum(s.values.tolist())) for s in spectra]
+    if not (0.0 < width < math.inf and all(map(cmath.isfinite, sums))):
+        width, sums = math.inf, [0j] * len(spectra)
+    cells = {}
+    reps = []
+    for s, total in zip(spectra, sums):
+        i, j = math.floor(total.real / width), math.floor(total.imag / width)
+        if not any(multiset_match(s.values, r.values, tol)
+                   for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                   for r in cells.get((i + di, j + dj), ())):
+            cells.setdefault((i, j), []).append(s)
+            reps.append(s)
+    return reps
 
 
 def is_normal(M, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

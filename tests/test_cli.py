@@ -145,6 +145,13 @@ class TestGen:
         assert code == EXIT_CONSTRAINT
         assert "construction failed" in err
 
+    def test_gen_m8_unknown_branch_label_is_construction_failure(self, capsys):
+        code, _, err = run(
+            capsys, "gen", "m8", "--params", "0,0,0,0,0,0,0", "--branch", "hx"
+        )
+        assert code == EXIT_CONSTRAINT
+        assert "construction failed" in err
+
     def test_gen_m6_branch_mode_off_surface_is_constraint_failure(
         self, tmp_path, capsys
     ):
@@ -400,6 +407,19 @@ class TestSweep:
         assert code == EXIT_OK
         assert out == (f"samples: {samples}\nhadamard_hits: {hits}\n"
                        f"distinct_spectra: {distinct}\nseed: {seed}\n")
+
+    @pytest.mark.parametrize("order, hits, distinct", [
+        (4, 400, 400),
+        (6, 480, 240),
+        (8, 200, 200),
+    ])
+    def test_pinned_counts_200_samples(self, capsys, order, hits, distinct):
+        # sizes at which the trace-keyed classification window prunes most
+        # comparisons; the counts are those of the exhaustive scan
+        code, out, _ = run(capsys, "sweep", str(order), "--samples", "200", "--seed", "1")
+        assert code == EXIT_OK
+        assert out == (f"samples: 200\nhadamard_hits: {hits}\n"
+                       f"distinct_spectra: {distinct}\nseed: 1\n")
 
     def test_order6_finds_hadamards_and_is_deterministic(self, capsys):
         code, out1, _ = run(capsys, "--seed", "9", "sweep", "6", "--samples", "40")

@@ -15,12 +15,14 @@ from hadamard_forge import (
     dephase,
     entrywise_inv_transpose,
     is_hadamard,
+    m6,
     negacirculant2,
     orthogonality_residual,
     permutation_matrix,
     search_equivalence_certificate,
     unimodularity_deviation,
 )
+from hadamard_forge.core import as_matrix, as_stack
 from conftest import random_phases
 
 
@@ -134,6 +136,90 @@ class TestResidualAndHadamard:
     def test_tolerance_config_validation(self):
         with pytest.raises(InvalidParameter):
             ToleranceConfig(tau_entry=0.0)
+
+
+class TestStacks:
+    """A stack (N, m, m) gives what N separate calls give, bit for bit."""
+
+    def test_stacked_builders_equal_per_matrix(self, rng):
+        P = np.exp(2j * np.pi * rng.random((40, 6)))
+        rows = [circulant(p) for p in P]
+        assert np.array_equal(circulant(P), rows)
+        A, B = circulant(P[:, :3]), circulant(P[:, 3:])
+        assert np.array_equal(assemble_sylvester(A, B),
+                              [assemble_sylvester(a, b) for a, b in zip(A, B)])
+        assert np.array_equal(entrywise_inv_transpose(A),
+                              [entrywise_inv_transpose(a) for a in A])
+        assert np.array_equal(m6(*P.T), [m6(*p) for p in P])
+
+    def test_stacked_checks_equal_per_matrix(self, rng):
+        P = np.exp(2j * np.pi * rng.random((30, 6)))
+        stack = np.concatenate([m6(*P.T), [d6(), d61(), 2 * d6()]])
+        assert np.array_equal(orthogonality_residual(stack),
+                              [orthogonality_residual(M) for M in stack])
+        assert np.array_equal(unimodularity_deviation(stack),
+                              [unimodularity_deviation(M) for M in stack])
+
+    def test_stacked_is_hadamard_equals_per_matrix(self, rng):
+        from hadamard_forge import m6_from_branches
+
+        # the four points over the first fixing are Hadamard, those over the
+        # second solve the constraints off the torus
+        points = [m6_from_branches(*np.exp(1j * np.array(angles)), a, f)[0]
+                  for angles in ([0.3, 1.1, 2.0, -0.4], [0.31, 0.7, 1.9, 2.6])
+                  for a in "+-" for f in "+-"]
+        off_torus = 1.001 * d6()
+        zero = d6().copy()
+        zero[2, 3] = 0
+        nan = d61().copy()
+        nan[1, 1] = np.nan
+        inf = d61().copy()
+        inf[0, 5] = np.inf
+        near = d6() * np.exp(1e-11j * rng.random((6, 6)))
+        stack = np.array(points + [d6(), d61(), off_torus, zero, nan, inf, near,
+                                  np.ones((6, 6))])
+        per = [is_hadamard(M) for M in stack]
+        assert per == [True] * 4 + [False] * 4 + [True, True, False, False, False,
+                                                  False, True, False]
+        decided = is_hadamard(stack)
+        assert decided.dtype == bool and decided.tolist() == per
+        assert is_hadamard(stack.reshape(2, 8, 6, 6)).tolist() == [per[:8], per[8:]]
+        assert is_hadamard(stack[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [
+        np.ones(6), np.ones((2, 3)), np.ones((4, 2, 3)), 1.0, [[]], np.ones((2, 0, 3)),
+        np.ones((0, 0)), np.ones((3, 0, 0)),
+    ])
+    def test_is_hadamard_never_raises_on_wrong_shapes(self, bad):
+        assert is_hadamard(bad) is False
+
+    def test_two_d_calls_keep_their_exceptions_and_types(self):
+        with pytest.raises(InvalidParameter):
+            circulant([1, 0, 2])
+        with pytest.raises(InvalidDimensions):
+            circulant(5.0)
+        with pytest.raises(InvalidDimensions):
+            assemble_sylvester(np.ones((2, 2)), np.ones((3, 3)))
+        with pytest.raises(InvalidParameter):
+            assemble_sylvester(np.eye(2) + 1, np.eye(2))
+        with pytest.raises(InvalidParameter):
+            orthogonality_residual(np.eye(3))
+        with pytest.raises(InvalidParameter):
+            unimodularity_deviation(np.full((2, 2), np.nan))
+        with pytest.raises(InvalidDimensions):
+            as_matrix(np.ones((2, 3, 3)))
+        with pytest.raises(InvalidDimensions):
+            as_stack(np.ones(3))
+        assert type(orthogonality_residual(d6())) is float
+        assert type(unimodularity_deviation(d6())) is float
+        assert is_hadamard(d6()) is True
+        assert is_hadamard(np.eye(6)) is False
+
+    def test_stack_with_a_zero_entry_rejected_by_residual(self):
+        stack = np.array([d6(), d6()])
+        stack[1, 0, 0] = 0
+        with pytest.raises(InvalidParameter):
+            orthogonality_residual(stack)
 
 
 class TestDephase:

@@ -14,6 +14,7 @@ from hadamard_forge import (
     d61,
     d81,
     dephase,
+    distinct_spectra,
     h4,
     is_reciprocal,
     lift_roots,
@@ -25,6 +26,8 @@ from hadamard_forge import (
     spectrum,
     unitary_equivalent,
 )
+from hadamard_forge import spectra as spectra_module
+from hadamard_forge.spectra import _cell_width
 from conftest import assert_spectrum, random_phases
 
 SQ2 = np.sqrt(2.0)
@@ -198,6 +201,118 @@ class TestMultisetMatch:
 
     def test_length_mismatch(self):
         assert not multiset_match([1.0], [1.0, 1.0], 1e-9)
+
+
+def first_match_scan(spectra, tol):
+    """The exhaustive classification: compare with every representative."""
+    reps = []
+    for s in spectra:
+        if not any(s.matches(r, tol) for r in reps):
+            reps.append(s)
+    return reps
+
+
+ANGLES = st.floats(0.0, 2 * np.pi)
+
+
+@st.composite
+def spectrum_lists(draw):
+    """Spectra drawn as near-duplicates of a few unimodular bases.
+
+    Each copy permutes its base and moves every value by up to 1.2*tol, so
+    some copies match and some do not.  A non-constant base is rotated so
+    that the real part of its sum lies on a cell edge; a constant-trace set
+    pairs every value with its negative, so all sums are (nearly) zero.
+    """
+    m = draw(st.integers(1, 8))
+    tol = draw(st.sampled_from([1e-8, 1e-6, 0.05, 2.0]))
+    constant_trace = draw(st.booleans())
+    bases = []
+    for _ in range(draw(st.integers(1, 5))):
+        if constant_trace:
+            half = np.exp(1j * np.array(draw(st.lists(ANGLES, min_size=m // 2,
+                                                      max_size=m // 2))))
+            vals = np.concatenate([half, -half, np.ones(m % 2)])
+        else:
+            vals = np.exp(1j * np.array(draw(st.lists(ANGLES, min_size=m, max_size=m))))
+            total = np.sum(vals)
+            if total:
+                w = _cell_width([SpectrumMultiset(vals)], tol)
+                k = np.floor(abs(total) / (2 * w))
+                vals = vals * np.exp(1j * (np.arccos(k * w / abs(total)) - np.angle(total)))
+        bases.append(vals)
+    spectra = []
+    for _ in range(draw(st.integers(1, 20))):
+        base = bases[draw(st.integers(0, len(bases) - 1))]
+        perm = draw(st.permutations(range(m)))
+        radius = tol * np.array(draw(
+            st.lists(st.floats(0.0, 1.2), min_size=m, max_size=m)))
+        phase = np.array(draw(st.lists(ANGLES, min_size=m, max_size=m)))
+        spectra.append(SpectrumMultiset(base[perm] + radius * np.exp(1j * phase)))
+    return spectra, tol
+
+
+class TestDistinctSpectra:
+    @settings(max_examples=150, deadline=None)
+    @given(spectrum_lists())
+    def test_window_equals_exhaustive_scan(self, case):
+        spectra, tol = case
+        assert distinct_spectra(spectra, tol) == first_match_scan(spectra, tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.builds(complex, st.floats(-10, 10), st.floats(-10, 10)),
+                        min_size=1, max_size=10),
+        tol=st.sampled_from([1e-12, 1e-8, 1e-3, 3.0]),
+        aligned=st.booleans(),
+        data=st.data(),
+    )
+    def test_matching_multisets_have_sums_within_the_bound(self, values, tol, aligned, data):
+        m = len(values)
+        a = np.array(values)
+        perm = data.draw(st.permutations(range(m)))
+        radius = tol * np.array(data.draw(
+            st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+        phase = np.array(data.draw(st.lists(ANGLES, min_size=m, max_size=m)))
+        if aligned:
+            radius, phase = np.full(m, tol), np.full(m, phase[0])
+        b = a[perm] + radius * np.exp(1j * phase)
+        A, B = SpectrumMultiset(a), SpectrumMultiset(b)
+        if multiset_match(A.values, B.values, tol):
+            gap = abs(np.sum(A.values) - np.sum(B.values))
+            assert gap <= _cell_width([A, B], tol) / 2
+
+    def test_constant_trace_family_falls_back_to_one_cell(self, rng):
+        # +-v pairs sum to zero, so every spectrum shares the cells around 0
+        half = random_phases(rng, 3 * 40).reshape(40, 3)
+        spectra = [SpectrumMultiset(np.concatenate([h, -h])) for h in half]
+        spectra += spectra[::2]
+        assert distinct_spectra(spectra, 1e-8) == first_match_scan(spectra, 1e-8)
+        assert len(distinct_spectra(spectra, 1e-8)) == 40
+
+    def test_non_finite_sums_fall_back_to_the_scan(self):
+        spectra = [SpectrumMultiset([1.0, np.nan]), SpectrumMultiset([1.0, 2.0]),
+                   SpectrumMultiset([1.0, 2.0 + 1e-9]), SpectrumMultiset([np.inf, 0.0])]
+        assert distinct_spectra(spectra, 1e-8) == [spectra[0], spectra[1], spectra[3]]
+        assert distinct_spectra([], 1e-8) == []
+
+    def test_sweep_spectra_need_few_comparisons(self, monkeypatch):
+        from hadamard_forge import is_hadamard
+        from hadamard_forge.cli import _sweep_matrices
+
+        stack = _sweep_matrices(6, 1, 200)
+        spectra = spectrum(stack[is_hadamard(stack)])
+        calls = []
+
+        def counted(a, b, tol):
+            calls.append(1)
+            return multiset_match(a, b, tol)
+
+        monkeypatch.setattr(spectra_module, "multiset_match", counted)
+        reps = distinct_spectra(spectra, 1e-8)
+        assert (len(spectra), len(reps)) == (480, 240)
+        # the exhaustive scan makes about 44,600 comparisons here
+        assert len(calls) <= len(spectra)
 
 
 class TestSpectrumAndEquivalence:
