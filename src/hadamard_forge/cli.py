@@ -13,6 +13,8 @@ error, 65 parse error, 70 numeric failure.
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import json
 import os
 import sys
@@ -59,32 +61,26 @@ def parse_phase(text: str) -> complex:
     Accepts rational multiples of pi ("3/4pi", "-pi", "2pi"), decimal
     radians ("0.25"), both mapped through exp(i*theta), or a literal
     complex number when an 'i'/'j' is present ("1+2i", "-i", "2.95+0i").
+    A value that does not give a finite complex number is a usage error.
     """
     s = text.strip().lower().replace(" ", "")
     if not s:
         raise CliError("empty parameter value", EXIT_USAGE)
-    if s.endswith("pi"):
-        head = s[:-2]
-        if head in ("", "+"):
-            frac = Fraction(1)
-        elif head == "-":
-            frac = Fraction(-1)
-        else:
-            try:
-                frac = Fraction(head)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise CliError(f"bad pi-multiple {text!r}: {exc}", EXIT_USAGE)
-        return complex(np.exp(1j * np.pi * float(frac)))
-    if "i" in s or "j" in s:
-        try:
-            return complex(s.replace("i", "j"))
-        except ValueError as exc:
-            raise CliError(f"bad complex literal {text!r}: {exc}", EXIT_USAGE)
     try:
-        theta = float(s)
-    except ValueError as exc:
+        # a non-finite angle gives NaN, reported below rather than warned about
+        with np.errstate(invalid="ignore"):
+            if s.endswith("pi"):
+                frac = Fraction({"": "1", "+": "1", "-": "-1"}.get(s[:-2], s[:-2]))
+                z = complex(np.exp(1j * np.pi * float(frac)))
+            elif "i" in s or "j" in s:
+                z = complex(s.replace("i", "j"))
+            else:
+                z = complex(np.exp(1j * float(s)))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise CliError(f"bad parameter {text!r}: {exc}", EXIT_USAGE)
-    return complex(np.exp(1j * theta))
+    if not cmath.isfinite(z):
+        raise CliError(f"parameter {text!r} is not finite", EXIT_USAGE)
+    return z
 
 
 def format_complex(z: complex) -> str:
@@ -179,15 +175,19 @@ def _sorted_for_print(values, tau):
 # ------------------------------------------------------------------ commands
 
 def _tolerances(args) -> ToleranceConfig:
+    """The flags' tolerances; tau_entry falls back to HADAMARD_FORGE_TOL."""
     tau_entry = args.tol_entry
-    if tau_entry is None:
-        env = os.environ.get(ENV_TOL)
-        tau_entry = float(env) if env else ToleranceConfig.tau_entry
-    return ToleranceConfig(
-        tau_entry=tau_entry,
-        tau_root=args.tol_root if args.tol_root is not None else ToleranceConfig.tau_root,
-        tau_spec=args.tol_spec if args.tol_spec is not None else ToleranceConfig.tau_spec,
-    )
+    try:
+        if tau_entry is None:
+            env = os.environ.get(ENV_TOL)
+            tau_entry = float(env) if env else ToleranceConfig.tau_entry
+        return ToleranceConfig(
+            tau_entry=tau_entry,
+            tau_root=args.tol_root if args.tol_root is not None else ToleranceConfig.tau_root,
+            tau_spec=args.tol_spec if args.tol_spec is not None else ToleranceConfig.tau_spec,
+        )
+    except ValueError as exc:  # InvalidParameter is a ValueError too
+        raise CliError(f"bad tolerance: {exc}", EXIT_USAGE)
 
 
 def cmd_gen(args) -> int:
@@ -195,9 +195,15 @@ def cmd_gen(args) -> int:
     family = args.family.lower()
     params = [parse_phase(v) for v in split_values(args.params)]
     branches = list(args.branch or [])
+    if family not in families.FAMILY_BUILDERS:
+        raise CliError(f"unknown family {args.family!r}", EXIT_USAGE)
+    if args.root is not None and family not in ("bf", "bf-dephased"):
+        raise CliError("--root applies to bf and bf-dephased only", EXIT_USAGE)
+    if branches and family not in ("m6", "m6s", "m8"):
+        raise CliError("--branch applies to m6, m6s and m8 only", EXIT_USAGE)
     meta = {"family": family, "params": [format_complex(p) for p in params]}
     try:
-        if family in ("bf", "bf-dephased") and args.root is not None:
+        if args.root is not None:
             d = families.bf_quartic_roots()[args.root - 1]
             params = [d]
             meta["params"] = [format_complex(d)]
@@ -227,8 +233,6 @@ def cmd_gen(args) -> int:
             meta["solved"] = f"h{branches[0].lstrip('h')}={format_complex(hval)}"
             guaranteed = False
         else:
-            if family not in families.FAMILY_BUILDERS:
-                raise CliError(f"unknown family {args.family!r}", EXIT_USAGE)
             builder, arity, guaranteed = families.FAMILY_BUILDERS[family]
             if len(params) != arity:
                 raise CliError(
@@ -336,17 +340,14 @@ def cmd_solve(args) -> int:
     tol = _tolerances(args)
     unknowns = [u.strip() for u in args.unknown.split(",") if u.strip()]
     values = [parse_phase(v) for v in split_values(args.values)]
-    order = args.order
     try:
-        if order == 4:
+        if args.order == 4:
             return _solve4(unknowns, values, tol)
-        if order == 6:
+        if args.order == 6:
             return _solve6(unknowns, values, tol)
-        if order == 8:
-            return _solve8(unknowns, values, tol, args)
+        return _solve8(unknowns, values, tol, args)
     except (InvalidParameter, InvalidDimensions) as exc:
         raise CliError(str(exc), EXIT_USAGE)
-    raise CliError("order must be 4, 6 or 8", EXIT_USAGE)
 
 
 def _solve4(unknowns, values, tol):
@@ -466,8 +467,6 @@ def _sweep_matrices(order, seed, samples):
     takes h4 and h44, order 6 the four (a±, f±) points of the family
     (none where the a-quadratic is singular), order 8 one d8a.
     """
-    if order not in _SWEEP_PHASES:
-        raise CliError("sweep supports orders 4, 6 and 8", EXIT_USAGE)
     k = _SWEEP_PHASES[order]
     draws = [np.exp(2j * np.pi * np.random.default_rng([seed, i]).random(k))
              for i in range(samples)]
@@ -610,10 +609,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls, so one parser serves them all
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

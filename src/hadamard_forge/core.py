@@ -61,8 +61,8 @@ class ToleranceConfig:
     tau_spec: float = 1e-8
 
     def __post_init__(self):
-        if min(self.tau_entry, self.tau_root, self.tau_spec) <= 0:
-            raise InvalidParameter("tolerances must be strictly positive")
+        if not all(0 < t < np.inf for t in (self.tau_entry, self.tau_root, self.tau_spec)):
+            raise InvalidParameter("tolerances must be positive and finite")
 
 
 DEFAULT_TOL = ToleranceConfig()

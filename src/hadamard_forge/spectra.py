@@ -17,6 +17,7 @@ import cmath
 import math
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .core import (
     DEFAULT_TOL,
@@ -36,22 +37,6 @@ from .core import (
 # whose computed copies scatter by (coefficient noise)**(1/3) ~ 1e-4.
 _MERGE_VALID_REL = 3e-14
 _CLUSTER_RADIUS = 2e-4
-
-
-def polyval(coeffs, x):
-    """Horner evaluation of an ascending-coefficient polynomial."""
-    c = np.asarray(coeffs, dtype=complex)
-    r = np.zeros_like(np.asarray(x, dtype=complex))
-    for ck in c[::-1]:
-        r = r * x + ck
-    return r
-
-
-def polyderiv(coeffs):
-    c = np.asarray(coeffs, dtype=complex)
-    if len(c) <= 1:
-        return np.zeros(1, dtype=complex)
-    return c[1:] * np.arange(1, len(c))
 
 
 def trim(coeffs, rel=1e-14):
@@ -74,14 +59,14 @@ def _aberth(coeffs, max_iter=200, tol=1e-14):
     """Simultaneous Aberth-Ehrlich iteration for all roots at once."""
     c = np.asarray(coeffs, dtype=complex)
     n = len(c) - 1
-    dc = polyderiv(c)
+    dc = polyder(c)
     radius = 1.0 + np.max(np.abs(c[:-1] / c[-1]))
     angles = 2 * np.pi * (np.arange(n) + 0.376) / n + 0.5
     z = 0.8 * radius * np.exp(1j * angles)
     best, best_res, stall = z.copy(), np.inf, 0
     for _ in range(max_iter):
-        pv = polyval(c, z)
-        dv = polyval(dc, z)
+        pv = polyval(z, c)
+        dv = polyval(z, dc)
         dv = np.where(dv == 0, 1e-300, dv)
         ratio = pv / dv
         diff = z[:, None] - z[None, :]
@@ -89,7 +74,7 @@ def _aberth(coeffs, max_iter=200, tol=1e-14):
         s = np.sum(1.0 / diff, axis=1)
         w = ratio / (1.0 - ratio * s)
         z = z - w
-        res = float(np.max(np.abs(polyval(c, z))))
+        res = float(np.max(np.abs(polyval(z, c))))
         if res < best_res:
             stall = 0 if res < 0.5 * best_res else stall + 1
             best_res, best = res, z.copy()
@@ -102,11 +87,11 @@ def _aberth(coeffs, max_iter=200, tol=1e-14):
 
 def _newton(coeffs, x0, iters=60):
     c = np.asarray(coeffs, dtype=complex)
-    dc = polyderiv(c)
+    dc = polyder(c)
     x = complex(x0)
     for _ in range(iters):
-        f = complex(polyval(c, x))
-        fp = complex(polyval(dc, x))
+        f = complex(polyval(x, c))
+        fp = complex(polyval(x, dc))
         if fp == 0:
             break
         step = f / fp
@@ -147,17 +132,17 @@ def _merge_clusters(coeffs, roots):
         centroid = np.mean([roots[k] for k in cluster])
         dm = c
         for _ in range(m - 1):
-            dm = polyderiv(dm)
+            dm = polyder(dm)
         rstar = _newton(dm, centroid)
         der = c
         accepted = True
         for _ in range(m):
-            if abs(complex(polyval(der, rstar))) > _MERGE_VALID_REL * _coeff_scale(
+            if abs(complex(polyval(rstar, der))) > _MERGE_VALID_REL * _coeff_scale(
                 der, rstar
             ):
                 accepted = False
                 break
-            der = polyderiv(der)
+            der = polyder(der)
         if accepted:
             out.extend([rstar] * m)
         else:
@@ -181,7 +166,7 @@ def poly_roots(coeffs, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     polished = np.array([_newton(c, z) for z in raw])
     roots = _merge_clusters(c, polished)
     worst = max(
-        abs(complex(polyval(c, r))) / _coeff_scale(c, r) for r in roots
+        abs(complex(polyval(r, c))) / _coeff_scale(c, r) for r in roots
     )
     if worst > tol.tau_root:
         raise RootFindingFailure(
@@ -203,11 +188,8 @@ def char_poly(M) -> np.ndarray:
     m = A.shape[0]
     S = A / np.sqrt(m)
 
-    ev = np.linalg.eigvals(S)
-    from_roots = np.array([1.0 + 0j])
-    for lam in ev:
-        from_roots = np.convolve(from_roots, [1.0, -lam])
-    from_roots = from_roots[::-1].copy()
+    # np.poly gives a plain 1.0 for no roots and a real array for conjugate-closed ones
+    from_roots = np.atleast_1d(np.poly(np.linalg.eigvals(S))).astype(complex)[::-1]
 
     if m > 16:
         return from_roots
@@ -267,7 +249,7 @@ def reduce_reciprocal(p) -> np.ndarray:
         raise NotReciprocal("reduction needs an even degree >= 2")
     q = _reduction_candidate(c)
     xs = 1.3 * np.exp(1j * np.linspace(0.1, 2 * np.pi, n + 1))
-    gap = np.max(np.abs(polyval(c, xs) - polyval(q, 1.0 / xs - xs) * xs ** (n // 2)))
+    gap = np.max(np.abs(polyval(xs, c) - polyval(1.0 / xs - xs, q) * xs ** (n // 2)))
     if gap > 1e-9 * np.sum(np.abs(c) * 1.3 ** np.arange(n + 1)):
         raise NotReciprocal("polynomial does not satisfy the y-substitution pattern")
     return q
@@ -292,32 +274,17 @@ def lift_roots(yroots) -> np.ndarray:
 def multiset_match(avals, bvals, tol: float) -> bool:
     """Tolerance-based bijective matching between two complex multisets.
 
-    Greedy nearest-pair matching first; on failure falls back to exact
-    bipartite matching on the graph of pairs within tolerance, so clustered
-    or permuted values compare correctly.
+    True when some bijection pairs every value of `avals` with one of
+    `bvals` at distance <= tol: exact bipartite matching by augmenting
+    paths on the graph of such pairs, so clustered or permuted values
+    compare correctly.  A NaN distance or bound admits no pair.
     """
-    A = list(np.asarray(avals, dtype=complex))
-    B = list(np.asarray(bvals, dtype=complex))
+    A = np.asarray(avals, dtype=complex).tolist()
+    B = np.asarray(bvals, dtype=complex).tolist()
     if len(A) != len(B):
         return False
     n = len(A)
-    if n == 0:
-        return True
-    used = [False] * n
-    greedy_ok = True
-    for a in A:
-        best, bi = np.inf, -1
-        for i, b in enumerate(B):
-            if not used[i] and abs(a - b) < best:
-                best, bi = abs(a - b), i
-        if best > tol:
-            greedy_ok = False
-            break
-        used[bi] = True
-    if greedy_ok:
-        return True
-
-    adj = [[j for j in range(n) if abs(A[i] - B[j]) <= tol] for i in range(n)]
+    adj = [[j for j, b in enumerate(B) if abs(a - b) <= tol] for a in A]
     match_of_b = [-1] * n
 
     def augment(i, visited):

@@ -45,6 +45,7 @@ class TestPhaseParsing:
         assert parse_phase("1+2i") == 1 + 2j
         assert parse_phase("-i") == -1j
         assert parse_phase("2.95+0i") == 2.95
+        assert parse_phase("2+0i") == 2
 
     def test_bad_values(self):
         from hadamard_forge.cli import CliError
@@ -52,6 +53,18 @@ class TestPhaseParsing:
         for bad in ("", "x/ypi", "1+2k"):
             with pytest.raises(CliError):
                 parse_phase(bad)
+
+    @pytest.mark.parametrize("bad", [
+        "1e400pi", "1e308pi", "inf", "-inf", "nan", "1e400", "nan+0i", "inf+1i", "1+nanj",
+    ])
+    def test_non_finite_values_are_usage_errors(self, bad, capsys):
+        from hadamard_forge.cli import CliError
+
+        with pytest.raises(CliError) as err:
+            parse_phase(bad)
+        assert err.value.code == EXIT_USAGE
+        code, out, _ = run(capsys, "gen", "h4a", "--params", bad)
+        assert (code, out) == (EXIT_USAGE, "")
 
 
 class TestSerialization:
@@ -194,6 +207,19 @@ class TestGen:
     def test_gen_wrong_arity(self, capsys):
         code, _, _ = run(capsys, "gen", "h4", "--params", "0")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "d6", "--branch", "h+"],
+        ["gen", "h4a", "--params", "0", "--branch", "f+", "a+"],
+        ["gen", "d8a", "--params", "0,0,0,0,0,0", "--branch", "h-"],
+        ["gen", "d6", "--root", "1"],
+        ["gen", "h4a", "--params", "0", "--root", "2"],
+        ["gen", "m6", "--params", "0,0,0,0,0,0", "--root", "1"],
+    ])
+    def test_gen_option_the_family_does_not_take_is_usage_error(self, argv, capsys):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "applies to" in err
 
     def test_gen_csv_format(self, tmp_path, capsys):
         out = tmp_path / "d6.csv"
@@ -496,6 +522,44 @@ class TestFlagPlacement:
         assert code == EXIT_OK
 
 
+class TestParserReuse:
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        from hadamard_forge import cli
+
+        calls = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+        cli._parser.cache_clear()
+        for _ in range(3):
+            assert run(capsys, "sweep", "4", "--samples", "1")[0] == EXIT_OK
+        assert len(calls) == 1
+
+    def test_flags_do_not_leak_into_the_next_call(self, tmp_path, capsys):
+        path = write_matrix(tmp_path / "m.json", d6() * (1 + 5e-7))
+        assert run(capsys, "--tol-entry", "1e-4", "verify", path)[0] == EXIT_OK
+        assert run(capsys, "verify", path)[0] == EXIT_FALSE
+        assert run(capsys, "verify", path, "--format", "json")[1].startswith("{")
+        assert run(capsys, "verify", path)[1].startswith("order: 6")
+        assert run(capsys, "sweep", "8", "--samples", "1", "--seed", "7")[1].endswith("seed: 7\n")
+        assert run(capsys, "sweep", "8", "--samples", "1")[1].endswith("seed: 0\n")
+        d81 = str(tmp_path / "d81.json")
+        assert run(capsys, "gen", "d81", "--out", d81)[0] == EXIT_OK
+        assert "reduced-roots:" in run(capsys, "spectrum", d81, "--reduce")[1]
+        assert "reduced" not in run(capsys, "spectrum", d81)[1]
+        code, out, _ = run(capsys, "gen", "h4a", "--params", "1/3pi")
+        assert code == EXIT_OK and json.loads(out)["metadata"]["params"] != []
+        code, out, _ = run(capsys, "gen", "d6")
+        assert code == EXIT_OK and json.loads(out)["metadata"]["params"] == []
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "5"], ["sweep", "12", "--samples", "1"],
+        ["solve", "5", "--unknown", "a"], ["solve", "10", "--unknown", "h"],
+    ])
+    def test_unsupported_orders_are_usage_errors(self, argv, capsys):
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+
+
 class TestToleranceEnv:
     def test_env_var_overrides_entry_tolerance(self, tmp_path, capsys, monkeypatch):
         # with an absurdly loose entry tolerance, even a scaled matrix passes
@@ -511,3 +575,31 @@ class TestToleranceEnv:
         monkeypatch.setenv("HADAMARD_FORGE_TOL", "1e-4")
         code, _, _ = run(capsys, "--tol-entry", "1e-10", "verify", path)
         assert code == EXIT_FALSE
+
+
+BAD_TOLERANCES = ["-1", "0", "nan", "inf", "abc"]
+
+
+class TestBadTolerances:
+    @pytest.mark.parametrize("value", BAD_TOLERANCES)
+    @pytest.mark.parametrize("flag", ["--tol-entry", "--tol-root", "--tol-spec"])
+    def test_flag_is_usage_error(self, flag, value, tmp_path, capsys):
+        path = write_matrix(tmp_path / "m.json", d6())
+        code, out, _ = run(capsys, "verify", path, f"{flag}={value}")
+        assert (code, out) == (EXIT_USAGE, "")
+        code, out, _ = run(capsys, f"{flag}={value}", "equiv", path, path)
+        assert (code, out) == (EXIT_USAGE, "")
+
+    @pytest.mark.parametrize("value", BAD_TOLERANCES)
+    def test_env_is_usage_error(self, value, tmp_path, capsys, monkeypatch):
+        path = write_matrix(tmp_path / "m.json", d6())
+        monkeypatch.setenv("HADAMARD_FORGE_TOL", value)
+        code, out, _ = run(capsys, "verify", path)
+        assert (code, out) == (EXIT_USAGE, "")
+
+    def test_infinite_entry_bound_does_not_pass_a_non_unimodular_matrix(
+        self, tmp_path, capsys
+    ):
+        path = write_matrix(tmp_path / "bf.json", bf(bf_quartic_roots()[2]))
+        assert run(capsys, "verify", path)[0] == EXIT_FALSE
+        assert run(capsys, "verify", path, "--tol-entry", "inf")[0] == EXIT_USAGE

@@ -137,6 +137,12 @@ class TestResidualAndHadamard:
         with pytest.raises(InvalidParameter):
             ToleranceConfig(tau_entry=0.0)
 
+    @pytest.mark.parametrize("field", ["tau_entry", "tau_root", "tau_spec"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, np.nan, np.inf, -np.inf])
+    def test_tolerance_config_rejects_non_positive_and_non_finite(self, field, value):
+        with pytest.raises(InvalidParameter):
+            ToleranceConfig(**{field: value})
+
 
 class TestStacks:
     """A stack (N, m, m) gives what N separate calls give, bit for bit."""

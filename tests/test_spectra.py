@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyder, polyval
 
 from hadamard_forge import (
     NotNormal,
@@ -73,6 +76,35 @@ class TestPolyRoots:
             assert np.max(vals) <= 1e-9 * scale * 10
 
 
+def horner(coeffs, x):
+    """Reference loop for numpy's polyval on ascending coefficients."""
+    r = np.zeros_like(np.asarray(x, dtype=complex))
+    for ck in np.asarray(coeffs, dtype=complex)[::-1]:
+        r = r * x + ck
+    return r
+
+
+class TestNumpyPolynomialRoutines:
+    """The numpy routines spectra uses equal plain loops bit for bit."""
+
+    def test_polyval_and_polyder_equal_the_loops(self, rng):
+        for n in range(1, 26):
+            c = rng.normal(size=n) + 1j * rng.normal(size=n)
+            c[rng.random(n) < 0.2] = 0
+            x = rng.normal(size=7) + 1j * rng.normal(size=7)
+            assert np.array_equal(polyval(x, c), horner(c, x))
+            assert complex(polyval(complex(x[0]), c)) == complex(horner(c, complex(x[0])))
+            expected = c[1:] * np.arange(1, n) if n > 1 else np.zeros(1, dtype=complex)
+            assert np.array_equal(polyder(c), expected)
+
+    def test_char_poly_above_order_16_is_the_factor_product(self, rng):
+        # above order 16 char_poly returns the eigenvalue product unchecked
+        for m in (17, 20, 24):
+            M = random_phases(rng, m * m).reshape(m, m)
+            ev = np.linalg.eigvals(M / np.sqrt(m))
+            assert np.array_equal(char_poly(M), poly_from_roots(ev))
+
+
 class TestCharPoly:
     def test_d6_is_x2_minus_1_cubed(self):
         cp = char_poly(d6())
@@ -84,6 +116,14 @@ class TestCharPoly:
         expected = np.array([1, -SQ6, 3, -2 * SQ2, 3, -SQ6, 1], dtype=complex)
         assert np.max(np.abs(cp - expected)) < 1e-8
 
+    def test_complex_even_for_real_spectra_and_order_zero(self):
+        # numpy.poly returns a real array for conjugate-closed roots and 1.0 for none
+        H = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]])
+        assert char_poly(H).dtype == complex
+        assert char_poly(np.eye(20)).dtype == complex
+        cp = char_poly(np.zeros((0, 0)))
+        assert cp.dtype == complex and np.array_equal(cp, [1])
+
     def test_monic(self, rng):
         M = random_phases(rng, 16).reshape(4, 4)
         cp = char_poly(M)
@@ -91,13 +131,11 @@ class TestCharPoly:
 
     def test_trace_recursion_matches_eigen_product(self, rng):
         # both routes run internally for small orders; also compare directly
-        from hadamard_forge.spectra import polyval
-
         M = random_phases(rng, 36).reshape(6, 6)
         cp = char_poly(M)
         ev = np.linalg.eigvals(M / SQ6)
         assert np.max(np.abs(np.polyval(cp[::-1], ev))) < 1e-10
-        assert np.max(np.abs(polyval(cp, ev))) < 1e-10
+        assert np.max(np.abs(polyval(ev, cp))) < 1e-10
 
 
 class TestReciprocal:
@@ -168,8 +206,6 @@ class TestReductionRoundtrip:
             assert multiset_match(lifted, direct, 1e-8)
 
     def test_roundtrip_identity_on_samples(self, rng):
-        from hadamard_forge.spectra import polyval
-
         k = 3
         lower = random_phases(rng, k + 1)
         casc = np.zeros(2 * k + 1, dtype=complex)
@@ -178,14 +214,34 @@ class TestReductionRoundtrip:
             casc[k + m] = (-1) ** m * lower[m]
         q = reduce_reciprocal(casc)
         xs = 0.7 * np.exp(1j * np.linspace(0.3, 6.0, 11))
-        lhs = polyval(q, 1.0 / xs - xs) * xs**k
-        rhs = polyval(casc, xs)
+        lhs = polyval(1.0 / xs - xs, q) * xs**k
+        rhs = polyval(xs, casc)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+def brute_force_match(a, b, tol):
+    """Some permutation of b lies within tol of a, value by value."""
+    a, b = [complex(v) for v in a], [complex(v) for v in b]
+    return len(a) == len(b) and any(
+        all(abs(x - y) <= tol for x, y in zip(a, p)) for p in itertools.permutations(b)
+    )
+
+
+# few distinct values so that repeats are common; about one entry in eleven
+# is NaN or infinite, so that most lists of six have none
+MATCH_VALUES = st.one_of(
+    st.sampled_from(3 * [0j, 1 + 0j, -1 + 0j, 1j, 0.25 + 0.25j, 0.5 - 0.5j]
+                    + [complex(np.nan, 0), complex(np.inf, 0), complex(-np.inf, 1),
+                       complex(1, np.nan)]),
+    st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+)
+# moves of length up to 0.35, on both sides of the bound 0.3
+MOVES = st.builds(complex, st.floats(-0.25, 0.25), st.floats(-0.25, 0.25))
 
 
 class TestMultisetMatch:
     def test_tie_breaking_requires_assignment(self):
-        # greedy nearest matching fails here; the exact fallback succeeds
+        # pairing each value with its nearest fails here; exact matching succeeds
         a = [0.0, 1.0]
         b = [0.6, 1.4]
         assert not multiset_match(a, b, 0.5)
@@ -201,6 +257,31 @@ class TestMultisetMatch:
 
     def test_length_mismatch(self):
         assert not multiset_match([1.0], [1.0, 1.0], 1e-9)
+
+    @pytest.mark.parametrize("a, b, tol", [
+        ([0.0], [5.0], np.nan),
+        ([np.nan], [1.0], np.inf),
+        ([1.0, 2.0], [1.0, 2.0], np.nan),
+        ([np.inf], [np.inf], np.inf),
+    ])
+    def test_nan_distance_or_bound_admits_no_pair(self, a, b, tol):
+        assert not multiset_match(a, b, tol)
+        assert not brute_force_match(a, b, tol)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        a=st.lists(MATCH_VALUES, max_size=6),
+        tol=st.sampled_from([0.0, 1e-8, 0.3, 1.0, np.inf, np.nan]),
+        data=st.data(),
+    )
+    def test_equals_brute_force(self, a, tol, data):
+        if data.draw(st.integers(0, 3)):
+            # three times in four: a permutation of a, each value kept, moved or replaced
+            b = [data.draw(st.one_of(st.just(v), MOVES.map(v.__add__), MATCH_VALUES))
+                 for v in data.draw(st.permutations(a))]
+        else:
+            b = data.draw(st.lists(MATCH_VALUES, max_size=6))
+        assert multiset_match(a, b, tol) == brute_force_match(a, b, tol)
 
 
 def first_match_scan(spectra, tol):
