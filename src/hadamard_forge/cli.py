@@ -464,8 +464,9 @@ def _sweep_matrices(order, seed, samples):
     """Every matrix a sweep samples, in sample order, as one (N, m, m) stack.
 
     Sample i draws its torus phases from default_rng([seed, i]).  Order 4
-    takes h4 and h44, order 6 the four (a±, f±) points of the family
-    (none where the a-quadratic is singular), order 8 one d8a.
+    takes h4 and h44, order 8 one d8a.  Order 6 takes the four (a±, f±)
+    points of the family, solved for all samples in one pass; a singular
+    a-quadratic, or an a or f that is zero or not finite, gives no matrix.
     """
     k = _SWEEP_PHASES[order]
     draws = [np.exp(2j * np.pi * np.random.default_rng([seed, i]).random(k))
@@ -474,14 +475,12 @@ def _sweep_matrices(order, seed, samples):
         return np.array([f(*p) for p in draws for f in (families.h4, families.h44)])
     if order == 8:
         return np.array([families.d8a(*p) for p in draws])
-    rows = []
-    for b, c, d, e in draws:
-        try:
-            points = list(families.m6_branch_points(b, c, d, e))
-        except core.SingularBranch:
-            continue
-        rows.extend((a, b, c, d, e, f) for _, _, a, f in points)
-    return families.m6(*np.array(rows, dtype=complex).reshape(-1, 6).T)
+    b, c, d, e = np.array(draws).T
+    points = list(families.m6_branch_points(b, c, d, e))
+    a, f = (np.stack([p[j] for p in points], axis=-1).ravel() for j in (2, 3))
+    rows = np.array([a, *np.repeat([b, c, d, e], 4, axis=-1), f])
+    keep = np.isfinite(a) & np.isfinite(f) & (a != 0) & (f != 0)
+    return families.m6(*rows[:, keep])
 
 
 def cmd_sweep(args) -> int:

@@ -15,12 +15,14 @@ and c and cubic in d and e; its solvers read the coefficients off the
 condition itself, by its values at roots of unity and an inverse DFT.
 Solvers return SolutionBranch records so callers can
 keep track of which sheet of the square or cube root they are on; every
-branch substitutes back to a residual at rounding level.
+branch substitutes back to a residual at rounding level.  The quadratic
+solvers also take parameter arrays broadcast to one shape (...) and solve
+all samples at once; a sample on which the scalar call would raise gets
+NaN values.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -70,21 +72,40 @@ class SolutionBranch:
     discriminant: complex = 0j
 
 
-def _check_nonzero(**params):
-    for name, value in params.items():
-        v = complex(value)
-        if v == 0 or not cmath.isfinite(v):
-            raise InvalidParameter(f"parameter {name!r} must be finite and nonzero")
+def _stack_nonzero(**params):
+    """The parameters stacked along a new last axis, broadcast to one shape.
+
+    A zero or non-finite scalar raises InvalidParameter; in arrays it makes
+    its sample NaN throughout.
+    """
+    x = np.empty(np.broadcast(*params.values()).shape + (len(params),), dtype=complex)
+    for i, value in enumerate(params.values()):
+        x[..., i] = value
+    bad = (x == 0) | ~np.isfinite(x)
+    if x.ndim == 1 and bad.any():
+        name = list(params)[bad.argmax()]
+        raise InvalidParameter(f"parameter {name!r} must be finite and nonzero")
+    return np.where(bad.any(axis=-1, keepdims=True), np.nan, x)
 
 
+# a NaN coefficient marks a sample without roots, whose roots stay NaN
+@np.errstate(invalid="ignore")
 def _quadratic_branches(name, lead, lin, const):
-    if lead == 0:
+    """Roots "+" and "-" of lead*u**2 + lin*u + const: (-lin +- sqrt(disc))/(2*lead).
+
+    The numerator of larger modulus gives its root directly; the other
+    root, whose numerator would cancel, is const/lead over the first.
+    """
+    if np.ndim(lead) == 0 and lead == 0:
         raise DegenerateQuadratic(f"quadratic in {name!r} has vanishing leading coefficient")
     disc = lin * lin - 4.0 * lead * const
-    root = np.sqrt(complex(disc))
+    root = np.sqrt(disc)
+    plus = abs(-lin + root) >= abs(-lin - root)
+    big = -lin + np.where(plus, root, -root)
+    direct, other = big / (2.0 * lead), 2.0 * const / big
     return (
-        SolutionBranch(name, "+", (-lin + root) / (2.0 * lead), disc),
-        SolutionBranch(name, "-", (-lin - root) / (2.0 * lead), disc),
+        SolutionBranch(name, "+", np.where(plus, direct, other)[()], disc),
+        SolutionBranch(name, "-", np.where(plus, other, direct)[()], disc),
     )
 
 
@@ -92,7 +113,7 @@ def _quadratic_branches(name, lead, lin, const):
 
 def c4_residual(a, b, c, d) -> complex:
     """The factorised order-4 constraint (b*c + a*d) * (a*c - b*d)."""
-    _check_nonzero(a=a, b=b, c=c, d=d)
+    _stack_nonzero(a=a, b=b, c=c, d=d)
     return (b * c + a * d) * (a * c - b * d)
 
 
@@ -113,7 +134,7 @@ def c4_branches(unknown: str, **given) -> list[SolutionBranch]:
     names = [n for n in PARAM_NAMES_4 if n != unknown]
     if sorted(given) != names:
         raise InvalidParameter(f"expected values for {names}, got {sorted(given)}")
-    _check_nonzero(**given)
+    _stack_nonzero(**given)
     g = {k: complex(v) for k, v in given.items()}
     branches = []
     for label, pairs in _C4_PAIRS.items():
@@ -134,6 +155,8 @@ _AHEAD = {
                  for s in range(k - 1, 0, -1)])
     for k in (3, 4)
 }
+# per count n of parameters before the last, row t lists the positions j != t
+_OTHERS = {n: np.array([[j for j in range(n) if j != t] for t in range(n)]) for n in (5, 7)}
 
 
 # the search's line search may probe a point with a zero coordinate
@@ -157,8 +180,7 @@ def _cyclic_ratio_residuals_and_jacobian(x):
 
 
 def _residuals(**params) -> ConstraintResidual:
-    _check_nonzero(**params)
-    values, _ = _cyclic_ratio_residuals_and_jacobian(list(params.values()))
+    values, _ = _cyclic_ratio_residuals_and_jacobian(_stack_nonzero(**params))
     return ConstraintResidual(len(params), tuple(complex(v) for v in values))
 
 
@@ -166,16 +188,18 @@ def _quadratic_in_last(x, s):
     """Coefficients (lead, lin, const) of P*S_s as a quadratic in u.
 
     `x` holds the 2k - 1 parameters before the last one, u, which closes
-    the second block.  With P' their product, P*S_s = P'*(u**2/x_{u+s} +
-    u*K_s + x_{u-s}), where K_s sums the ratios x_j/x_{j+s} free of u.
+    the second block, along its last axis.  With P' their product, P*S_s =
+    P'*(u**2/x_{u+s} + u*K_s + x_{u-s}), where K_s sums the ratios
+    x_j/x_{j+s} free of u.
     """
-    x = [complex(v) for v in x]
-    k = (len(x) + 1) // 2
+    x = np.asarray(x, dtype=complex)
+    k = (x.shape[-1] + 1) // 2
     ahead = _AHEAD[k][k - 1 - s].tolist()
     behind = ahead.index(2 * k - 1)  # x_{u-s} is the x_j with x_{j+s} = u
-    free = sum([x[j] / x[t] for j, t in enumerate(ahead[:-1]) if j != behind])
-    prod = math.prod(x)
-    return prod / x[ahead[-1]], prod * free, prod * x[behind]
+    # P'/x_t, formed without division as the product of the other parameters
+    without = x[..., _OTHERS[2 * k - 1]].prod(axis=-1)
+    free = sum(x[..., j] * without[..., t] for j, t in enumerate(ahead[:-1]) if j != behind)
+    return without[..., ahead[-1]], free, x.prod(axis=-1) * x[..., behind]
 
 
 def _reduced_residual(x):
@@ -186,9 +210,10 @@ def _reduced_residual(x):
     equal leading and constant terms, so a common root u != 0 leaves
     x_{u-1}*P'*K_{k-1} - x_{u+1}*P'*K_1 = 0.
     """
-    x = [complex(v) for v in x]
-    k = (len(x) + 1) // 2
-    return x[-1] * _quadratic_in_last(x, k - 1)[1] - x[k] * _quadratic_in_last(x, 1)[1]
+    x = np.asarray(x, dtype=complex)
+    k = (x.shape[-1] + 1) // 2
+    lin_first, lin_last = _quadratic_in_last(x, k - 1)[1], _quadratic_in_last(x, 1)[1]
+    return x[..., -1] * lin_first - x[..., k] * lin_last
 
 
 # ----------------------------------------------------------------- order 6
@@ -200,14 +225,13 @@ def c6_residuals(a, b, c, d, e, f) -> ConstraintResidual:
 
 def c6_solve_f(a, b, c, d, e):
     """Both roots of the first order-6 constraint seen as a quadratic in f."""
-    _check_nonzero(a=a, b=b, c=c, d=d, e=e)
-    return _quadratic_branches("f", *_quadratic_in_last((a, b, c, d, e), 2))
+    x = _stack_nonzero(a=a, b=b, c=c, d=d, e=e)
+    return _quadratic_branches("f", *_quadratic_in_last(x, 2))
 
 
 def c6_reduced_residual(a, b, c, d, e) -> complex:
     """The single reduced condition left after eliminating f from the pair."""
-    _check_nonzero(a=a, b=b, c=c, d=d, e=e)
-    return _reduced_residual((a, b, c, d, e))
+    return _reduced_residual(_stack_nonzero(a=a, b=b, c=c, d=d, e=e))
 
 
 def _reduced_coefficients(unknown, **given):
@@ -221,10 +245,11 @@ def _reduced_coefficients(unknown, **given):
     names = sorted(set("abcde") - {unknown})
     if sorted(given) != names:
         raise InvalidParameter(f"expected values for {names}, got {sorted(given)}")
-    _check_nonzero(**given)
     count = 3 if unknown in "abc" else 4
     points = np.exp(-2j * np.pi * np.arange(count) / count)
-    return np.fft.ifft([_reduced_residual([given.get(n, u) for n in "abcde"]) for u in points])
+    x = _stack_nonzero(**dict(sorted(given.items())))[..., None, :].repeat(count, axis=-2)
+    x = np.insert(x, "abcde".index(unknown), points, axis=-1)
+    return np.fft.ifft(_reduced_residual(x), axis=-1)
 
 
 def c6_solve_quadratic(unknown: str, **given):
@@ -239,13 +264,14 @@ def c6_solve_quadratic(unknown: str, **given):
     """
     if unknown not in ("a", "b", "c"):
         raise InvalidParameter("quadratic unknowns are 'a', 'b' and 'c'")
-    const, lin, lead = _reduced_coefficients(unknown, **given)
-    if abs(lead) <= DEFAULT_TOL.tau_entry * math.prod(abs(v) for v in given.values()):
+    const, lin, lead = np.moveaxis(_reduced_coefficients(unknown, **given), -1, 0)
+    singular = abs(lead) <= DEFAULT_TOL.tau_entry * math.prod(map(np.abs, given.values()))
+    if np.ndim(singular) == 0 and singular:
         raise SingularBranch(
             f"coordinate singularity for {unknown!r}: partner relation "
             "p*e = q*d makes the quadratic collapse"
         )
-    return _quadratic_branches(unknown, lead, lin, const)
+    return _quadratic_branches(unknown, np.where(singular, np.nan, lead), lin, const)
 
 
 def c6_solve_cubic(unknown: str, tol: ToleranceConfig = DEFAULT_TOL, **given):
@@ -271,7 +297,7 @@ def hu_residual(b, c, d, e) -> complex:
     Either factor vanishing collapses the reduced condition and yields the
     three-parameter subfamilies.
     """
-    _check_nonzero(b=b, c=c, d=d, e=e)
+    _stack_nonzero(b=b, c=c, d=d, e=e)
     return (b * e + c * d) * (b * d**2 - c * e**2)
 
 
@@ -284,8 +310,8 @@ def c8_residuals(a, b, c, d, e, f, g, h) -> ConstraintResidual:
 
 def c8_solve_h(a, b, c, d, e, f, g):
     """Both roots of the first order-8 constraint as a quadratic in h."""
-    _check_nonzero(a=a, b=b, c=c, d=d, e=e, f=f, g=g)
-    return _quadratic_branches("h", *_quadratic_in_last((a, b, c, d, e, f, g), 3))
+    x = _stack_nonzero(a=a, b=b, c=c, d=d, e=e, f=f, g=g)
+    return _quadratic_branches("h", *_quadratic_in_last(x, 3))
 
 
 def c8_reduced_residual(a, b, c, d, e, f, g) -> complex:
@@ -296,8 +322,7 @@ def c8_reduced_residual(a, b, c, d, e, f, g) -> complex:
     the two h-branches has modulus equal to |this value| squared, so its
     vanishing locus matches the pair substitution.
     """
-    _check_nonzero(a=a, b=b, c=c, d=d, e=e, f=f, g=g)
-    return _reduced_residual((a, b, c, d, e, f, g))
+    return _reduced_residual(_stack_nonzero(a=a, b=b, c=c, d=d, e=e, f=f, g=g))
 
 
 @dataclass(frozen=True)
@@ -341,7 +366,7 @@ def c8_numeric_solve(
     if not 5 <= len(fixed) <= 7:
         raise InvalidParameter("five to seven parameters must be fixed")
     fixed_vals = {k: complex(v) for k, v in fixed.items()}
-    _check_nonzero(**fixed_vals)
+    _stack_nonzero(**fixed_vals)
     for name, v in fixed_vals.items():
         if abs(abs(v) - 1.0) > tol.tau_entry:
             raise InvalidParameter(f"fixed parameter {name!r} must lie on the torus")

@@ -172,11 +172,14 @@ def m6_branch_points(b, c, d, e):
     a comes from the reduced quadratic, f from the first constraint.
     Yields (a_label, f_label, a, f) in the order a+ f+, a+ f-, a- f+,
     a- f-; raises SingularBranch before the first point where the
-    a-quadratic collapses.
+    a-quadratic collapses.  Parameter arrays give a and f arrays, NaN at
+    the samples where a scalar call would raise.
     """
-    for abr in c6_solve_quadratic("a", b=b, c=c, d=d, e=e):
-        for fbr in c6_solve_f(abr.value, b, c, d, e):
-            yield abr.branch_label, fbr.branch_label, abr.value, fbr.value
+    a_branches = c6_solve_quadratic("a", b=b, c=c, d=d, e=e)
+    f_branches = c6_solve_f(np.stack([abr.value for abr in a_branches]), b, c, d, e)
+    for i, abr in enumerate(a_branches):
+        for fbr in f_branches:
+            yield abr.branch_label, fbr.branch_label, abr.value, fbr.value[i]
 
 
 def m6_from_branches(b, c, d, e, a_branch="+", f_branch="+"):

@@ -13,7 +13,6 @@ x**2 + y*x - 1 = 0.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -300,13 +299,23 @@ def multiset_match(avals, bvals, tol: float) -> bool:
     return all(augment(i, [False] * n) for i in range(n))
 
 
+def _lexsorted(vals):
+    """Each row of `vals` sorted by real part, ties by imaginary part."""
+    return np.take_along_axis(vals, np.lexsort((vals.imag, vals.real)), axis=-1)
+
+
 class SpectrumMultiset:
     """Multiset of eigenvalues with tolerance-based equality."""
 
     def __init__(self, values):
-        vals = np.asarray(values, dtype=complex).ravel()
-        order = np.lexsort((vals.imag, vals.real))
-        self.values = vals[order]
+        self.values = _lexsorted(np.asarray(values, dtype=complex).ravel())
+
+    @classmethod
+    def _of_sorted(cls, values):
+        """The multiset of `values`, already in _lexsorted order."""
+        s = cls.__new__(cls)
+        s.values = values
+        return s
 
     def __len__(self):
         return len(self.values)
@@ -326,8 +335,8 @@ class SpectrumMultiset:
 def spectrum(M):
     """Eigenvalues of M/sqrt(m) as a tolerance-aware multiset.
 
-    A stack (N, m, m) is diagonalised in one call and gives the list of
-    its N multisets.
+    A stack (N, m, m) is diagonalised and sorted in one call each and
+    gives the list of its N multisets.
     """
     A = as_stack(M)
     m = A.shape[-1]
@@ -335,21 +344,22 @@ def spectrum(M):
     ev = np.linalg.eigvals(A)
     if ev.ndim == 1:
         return SpectrumMultiset(ev)
-    return [SpectrumMultiset(v) for v in ev.reshape(-1, m)]
+    return [SpectrumMultiset._of_sorted(v) for v in _lexsorted(ev.reshape(-1, m))]
 
 
-def _cell_width(spectra, tol: float) -> float:
+def _cell_width(values, tol: float) -> float:
     """Side of the trace cells that distinct_spectra files spectra in.
 
-    Two multisets of length <= m that multiset_match accepts at tol have
-    exact sums within m*tol of each other, since |sum(a) - sum(b)| <=
+    `values` holds the spectra as rows, zero-padded to the longest, m.  Two
+    multisets of length <= m that multiset_match accepts at tol have exact
+    sums within m*tol of each other, since |sum(a) - sum(b)| <=
     sum|a_i - b_sigma(i)|, and each computed sum lies within m*eps*scale of
     its exact value (scale: the largest sum|values|).  The width is twice
     that bound with room to spare, so the rounding of sum/width cannot move
     two matching spectra further apart than neighbouring cells.
     """
-    m = max((len(s) for s in spectra), default=0)
-    scale = max((sum(map(abs, s.values.tolist())) for s in spectra), default=0.0)
+    m = values.shape[-1]
+    scale = np.abs(values).sum(axis=-1).max(initial=0.0)
     return 2.0 * (m * tol + 4.0 * m * np.finfo(float).eps * scale)
 
 
@@ -365,14 +375,18 @@ def distinct_spectra(spectra, tol: float) -> list:
     cell and every representative is compared.
     """
     spectra = list(spectra)
-    width = _cell_width(spectra, tol)
-    sums = [complex(sum(s.values.tolist())) for s in spectra]
-    if not (0.0 < width < math.inf and all(map(cmath.isfinite, sums))):
-        width, sums = math.inf, [0j] * len(spectra)
+    # zeros pad shorter spectra, changing no row's sum or sum of moduli
+    m = max(map(len, spectra), default=0)
+    values = np.array([s.values if len(s) == m else np.pad(s.values, (0, m - len(s)))
+                       for s in spectra], dtype=complex).reshape(len(spectra), m)
+    width = _cell_width(values, tol)
+    sums = values.sum(axis=-1)
+    if not (0.0 < width < math.inf and np.isfinite(sums).all()):
+        width, sums = math.inf, np.zeros(len(spectra), dtype=complex)
     cells = {}
     reps = []
-    for s, total in zip(spectra, sums):
-        i, j = math.floor(total.real / width), math.floor(total.imag / width)
+    for s, i, j in zip(spectra, map(math.floor, (sums.real / width).tolist()),
+                       map(math.floor, (sums.imag / width).tolist())):
         if not any(multiset_match(s.values, r.values, tol)
                    for di in (-1, 0, 1) for dj in (-1, 0, 1)
                    for r in cells.get((i + di, j + dj), ())):

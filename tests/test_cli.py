@@ -434,6 +434,50 @@ class TestSweep:
         assert out == (f"samples: {samples}\nhadamard_hits: {hits}\n"
                        f"distinct_spectra: {distinct}\nseed: {seed}\n")
 
+    @pytest.mark.parametrize("seed, hits, distinct", [
+        (0, 204, 102), (1, 252, 126), (2, 236, 118), (3, 236, 118), (4, 268, 134),
+        (5, 232, 116), (6, 224, 112), (7, 260, 130), (8, 236, 118), (9, 248, 124),
+    ])
+    def test_pinned_order6_counts_100_samples(self, capsys, seed, hits, distinct):
+        # the counts of the solve that took one sample at a time
+        code, out, _ = run(capsys, "sweep", "6", "--samples", "100", "--seed", str(seed))
+        assert code == EXIT_OK
+        assert out == (f"samples: 100\nhadamard_hits: {hits}\n"
+                       f"distinct_spectra: {distinct}\nseed: {seed}\n")
+
+    def test_order6_solves_all_samples_in_one_pass(self, capsys, monkeypatch):
+        from hadamard_forge import families
+
+        calls = []
+
+        def counted(name):
+            solve = getattr(families, name)
+            return lambda *args, **kwargs: calls.append(name) or solve(*args, **kwargs)
+
+        for name in ("c6_solve_quadratic", "c6_solve_f"):
+            monkeypatch.setattr(families, name, counted(name))
+        for samples in (1, 60):
+            calls.clear()
+            assert run(capsys, "sweep", "6", "--samples", str(samples))[0] == EXIT_OK
+            assert calls == ["c6_solve_quadratic", "c6_solve_f"]
+
+    def test_order6_drops_points_whose_a_or_f_is_zero_or_not_finite(self, monkeypatch):
+        from hadamard_forge import families
+        from hadamard_forge.cli import _sweep_matrices
+
+        full = _sweep_matrices(6, 1, 5)
+        solve = families.m6_branch_points
+
+        def spoiled(b, c, d, e):
+            for abr, fbr, a, f in solve(b, c, d, e):
+                a, f = a.copy(), f.copy()
+                a[0], f[1] = 0, np.inf
+                yield abr, fbr, a, f
+
+        monkeypatch.setattr(families, "m6_branch_points", spoiled)
+        assert len(full) == 20
+        assert np.array_equal(_sweep_matrices(6, 1, 5), full[8:])
+
     @pytest.mark.parametrize("order, hits, distinct", [
         (4, 400, 400),
         (6, 480, 240),

@@ -302,6 +302,25 @@ class TestOrder6SolveF:
         for br in c6_solve_f(a, b, c, d, e):
             assert abs(c6_residuals(a, b, c, d, e, br.value).values[0]) < 1e-12
 
+    def test_vieta_product_for_a_small_a(self, rng):
+        # |a| = 1e-5 puts the roots 1e5 apart in modulus; the small root
+        # must not come from a difference that cancels
+        for _ in range(20):
+            a, b, c, d, e = random_phases(rng, 5)
+            fp, fm = c6_solve_f(1e-5 * a, b, c, d, e)
+            assert abs(fp.value * fm.value - d * e) < 1e-12
+
+    def test_stack_gives_nan_where_a_scalar_call_raises(self, rng):
+        a, b, c, d, e = random_phases(rng, (5, 4))
+        a[1], a[2], a[3] = 0, np.nan, np.inf
+        scalar = c6_solve_f(a[0], b[0], c[0], d[0], e[0])
+        for br, one in zip(c6_solve_f(a, b, c, d, e), scalar):
+            assert br.branch_label == one.branch_label
+            assert abs(br.value[0] - one.value) <= 1e-12 * abs(one.value)
+            assert np.isnan(br.value[1:]).all()
+        with pytest.raises(InvalidParameter):
+            c6_solve_f(a[1], b[1], c[1], d[1], e[1])
+
 
 class TestOrder6Quadratic:
     def test_back_substitution_all_unknowns(self, rng):
@@ -337,6 +356,26 @@ class TestOrder6Quadratic:
         # p*e = q*d with partners (b, c) of unknown a: b*e = c*d
         with pytest.raises(SingularBranch):
             c6_solve_quadratic("a", b=1, c=1, d=1, e=1)
+
+    def test_vieta_product_near_the_singular_surface(self, rng):
+        # |b*e - c*d| = 1e-6: the roots lie 1e12 apart in modulus
+        for _ in range(20):
+            c, d, e = random_phases(rng, 3)
+            b = c * d / e * np.exp(1e-6j)
+            ap, am = c6_solve_quadratic("a", b=b, c=c, d=d, e=e)
+            assert abs(ap.value * am.value - b * c) < 1e-7
+
+    def test_stack_gives_nan_where_a_scalar_call_raises(self, rng):
+        b, c, d, e = random_phases(rng, (4, 5))
+        b[1] = c[1] * d[1] / e[1]  # singular: b*e = c*d
+        c[2], d[3], e[4] = 0, np.nan, np.inf
+        scalar = c6_solve_quadratic("a", b=b[0], c=c[0], d=d[0], e=e[0])
+        for br, one in zip(c6_solve_quadratic("a", b=b, c=c, d=d, e=e), scalar):
+            assert br.branch_label == one.branch_label
+            assert abs(br.value[0] - one.value) <= 1e-12 * abs(one.value)
+            assert np.isnan(br.value[1:]).all()
+        with pytest.raises(SingularBranch):
+            c6_solve_quadratic("a", b=b[1], c=c[1], d=d[1], e=e[1])
 
     def test_specialised_branch_is_unimodular(self, rng):
         # on the surface b = -c*d/e the two a-roots satisfy a**2 = c**2*d/e

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadamard_forge import (
     InvalidParameter,
@@ -333,6 +335,26 @@ class TestM6:
         M, aval, fval = m6_from_branches(b, c, d, e, "+", "+")
         assert abs(abs(aval) - 1) < 1e-10 and abs(abs(fval) - 1) < 1e-10
         assert is_hadamard(M)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.lists(st.floats(0.0, 2 * np.pi), min_size=4, max_size=4),
+                              st.booleans()), min_size=1, max_size=10))
+    def test_stacked_branch_points_equal_the_scalar_path(self, rows):
+        b, c, d, e = np.exp(1j * np.array([angles for angles, _ in rows])).T
+        forced = np.array([flag for _, flag in rows])
+        b = np.where(forced, c * d / e, b)  # b*e = c*d, where the a-quadratic collapses
+        stacked = list(m6_branch_points(b, c, d, e))
+        for i in range(len(rows)):
+            try:
+                points = list(m6_branch_points(b[i], c[i], d[i], e[i]))
+            except SingularBranch:
+                assert all(np.isnan(a[i]) and np.isnan(f[i]) for _, _, a, f in stacked)
+                continue
+            assert not forced[i]
+            assert [p[:2] for p in points] == [p[:2] for p in stacked]
+            for (_, _, a, f), (_, _, sa, sf) in zip(points, stacked):
+                assert abs(sa[i] - a) <= 1e-12 * abs(a)
+                assert abs(sf[i] - f) <= 1e-12 * abs(f)
 
 
 class TestFourBranchLandmark:

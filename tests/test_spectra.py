@@ -318,7 +318,7 @@ def spectrum_lists(draw):
             vals = np.exp(1j * np.array(draw(st.lists(ANGLES, min_size=m, max_size=m))))
             total = np.sum(vals)
             if total:
-                w = _cell_width([SpectrumMultiset(vals)], tol)
+                w = _cell_width(vals[None, :], tol)
                 k = np.floor(abs(total) / (2 * w))
                 vals = vals * np.exp(1j * (np.arccos(k * w / abs(total)) - np.angle(total)))
         bases.append(vals)
@@ -361,7 +361,7 @@ class TestDistinctSpectra:
         A, B = SpectrumMultiset(a), SpectrumMultiset(b)
         if multiset_match(A.values, B.values, tol):
             gap = abs(np.sum(A.values) - np.sum(B.values))
-            assert gap <= _cell_width([A, B], tol) / 2
+            assert gap <= _cell_width(np.array([A.values, B.values]), tol) / 2
 
     def test_constant_trace_family_falls_back_to_one_cell(self, rng):
         # +-v pairs sum to zero, so every spectrum shares the cells around 0
@@ -376,6 +376,11 @@ class TestDistinctSpectra:
                    SpectrumMultiset([1.0, 2.0 + 1e-9]), SpectrumMultiset([np.inf, 0.0])]
         assert distinct_spectra(spectra, 1e-8) == [spectra[0], spectra[1], spectra[3]]
         assert distinct_spectra([], 1e-8) == []
+
+    def test_spectra_of_different_lengths(self):
+        spectra = [SpectrumMultiset([1.0, 2.0]), SpectrumMultiset([1.0, 2.0, 0.0]),
+                   SpectrumMultiset([1.0, 2.0 + 1e-9]), SpectrumMultiset([])]
+        assert distinct_spectra(spectra, 1e-8) == [spectra[0], spectra[1], spectra[3]]
 
     def test_sweep_spectra_need_few_comparisons(self, monkeypatch):
         from hadamard_forge import is_hadamard
@@ -399,6 +404,16 @@ class TestDistinctSpectra:
 class TestSpectrumAndEquivalence:
     def test_spectrum_d6(self):
         assert_spectrum(spectrum(d6()).values, [-1, -1, -1, 1, 1, 1])
+
+    def test_stack_is_sorted_as_each_spectrum_alone(self, rng):
+        # real matrices give conjugate pairs, +-1 matrices repeated values
+        stacks = [rng.normal(size=(50, 5, 5)), np.sign(rng.normal(size=(50, 4, 4))),
+                  np.array([d6(), d61(), d6(), np.eye(6)])]
+        for stack in stacks:
+            m = stack.shape[-1]
+            scaled = np.asarray(stack, dtype=complex) / np.sqrt(m)
+            for s, ev in zip(spectrum(stack), np.linalg.eigvals(scaled)):
+                assert np.array_equal(s.values, SpectrumMultiset(ev).values)
 
     def test_spectrum_d61(self):
         expected = [-1, -1, 1, 1, (1j - SQ2) / SQ3, -(1j + SQ2) / SQ3]
