@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import inspect
 import json
 import os
 import sys
@@ -143,8 +144,6 @@ def parse_matrix(text: str):
                 continue
             rows.append([_parse_complex_token(tok) for tok in line.split(",")])
         return core.as_matrix(np.array(rows, dtype=complex)), meta
-    except CliError:
-        raise
     except (ValueError, TypeError, KeyError, IndexError, OverflowError,
             RecursionError, HadamardForgeError) as exc:
         raise CliError(f"cannot parse matrix file: {exc}", EXIT_PARSE)
@@ -161,9 +160,12 @@ def _read_file(path: str) -> str:
 def _write_output(text: str, out):
     if out in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {out!r}: {exc}", EXIT_USAGE)
 
 
 def _sorted_for_print(values, tau):
@@ -233,15 +235,14 @@ def cmd_gen(args) -> int:
             meta["solved"] = f"h{branches[0].lstrip('h')}={format_complex(hval)}"
             guaranteed = False
         else:
-            builder, arity, guaranteed = families.FAMILY_BUILDERS[family]
+            builder, guaranteed = families.FAMILY_BUILDERS[family]
+            arity = len(inspect.signature(builder).parameters)
             if len(params) != arity:
                 raise CliError(
                     f"family {family!r} takes {arity} parameter(s), got {len(params)}",
                     EXIT_USAGE,
                 )
             M = builder(*params)
-    except CliError:
-        raise
     except HadamardForgeError as exc:
         raise CliError(f"construction failed: {exc}", EXIT_CONSTRAINT)
 
@@ -286,21 +287,17 @@ def cmd_verify(args) -> int:
 def cmd_spectrum(args) -> int:
     tol = _tolerances(args)
     M, _ = parse_matrix(_read_file(args.file))
-    try:
-        sp = spectra.spectrum(M)
-        for z in _sorted_for_print(sp.values, tol.tau_spec):
-            print(format_complex(z))
-        if args.reduce:
-            try:
-                q = spectra.reduce_reciprocal(spectra.char_poly(M))
-            except core.NotReciprocal:
-                print("reduced: not reciprocal")
-            else:
-                print("reduced-roots:")
-                for y in _sorted_for_print(spectra.poly_roots(q, tol), tol.tau_spec):
-                    print(format_complex(y))
-    except core.RootFindingFailure as exc:
-        raise CliError(f"root finding failed: {exc}", EXIT_NUMERIC)
+    for z in _sorted_for_print(spectra.spectrum(M).values, tol.tau_spec):
+        print(format_complex(z))
+    if args.reduce:
+        try:
+            q = spectra.reduce_reciprocal(spectra.char_poly(M))
+        except core.NotReciprocal:
+            print("reduced: not reciprocal")
+        else:
+            print("reduced-roots:")
+            for y in _sorted_for_print(spectra.poly_roots(q, tol), tol.tau_spec):
+                print(format_complex(y))
     return EXIT_OK
 
 
@@ -312,17 +309,17 @@ def cmd_equiv(args) -> int:
         raise CliError(
             f"order mismatch: {A.shape[0]} vs {B.shape[0]}", EXIT_USAGE
         )
-    spa, spb = spectra.spectrum(A), spectra.spectrum(B)
-    print("spectrum A:", " ".join(format_complex(z)
-                                  for z in _sorted_for_print(spa.values, tol.tau_spec)))
-    print("spectrum B:", " ".join(format_complex(z)
-                                  for z in _sorted_for_print(spb.values, tol.tau_spec)))
-    try:
-        same = spectra.unitary_equivalent(A, B, tol)
-    except core.NotNormal as exc:
-        raise CliError(str(exc), EXIT_CONSTRAINT)
+    _print_spectrum("spectrum A", A, tol)
+    _print_spectrum("spectrum B", B, tol)
+    same = spectra.unitary_equivalent(A, B, tol)
     print(f"unitary-equivalent: {str(same).lower()}")
     return EXIT_OK if same else EXIT_FALSE
+
+
+def _print_spectrum(tag, M, tol):
+    shown = " ".join(format_complex(z)
+                     for z in _sorted_for_print(spectra.spectrum(M).values, tol.tau_spec))
+    print(f"{tag}: {shown}")
 
 
 def _print_branch_matrix(tag, M, tol):
@@ -350,6 +347,25 @@ def cmd_solve(args) -> int:
         raise CliError(str(exc), EXIT_USAGE)
 
 
+def _print_closed_branches(solve, residuals, build, values, tol):
+    """Print both closed-form branches of the last parameter of `residuals`.
+
+    `solve` takes the parameters before it, whose names the usage message
+    lists; each branch line shows every constraint's residual.
+    """
+    names = list(inspect.signature(solve).parameters)
+    unknown = list(inspect.signature(residuals).parameters)[-1]
+    if len(values) != len(names):
+        raise CliError(f"unknown {unknown} needs values for {names}", EXIT_USAGE)
+    for br in solve(*values):
+        params = [*values, br.value]
+        shown = ", ".join(f"{abs(v):.3e}" for v in residuals(*params).values)
+        print(f"branch {unknown}{br.branch_label}: value={format_complex(br.value)} "
+              f"{_torus_tag(br.value, tol)} constraints=({shown})")
+        _print_branch_matrix("matrix", build(*params), tol)
+    return EXIT_OK
+
+
 def _solve4(unknowns, values, tol):
     if len(unknowns) != 1 or unknowns[0] not in "abcd":
         raise CliError("order 4 solves one unknown among a b c d", EXIT_USAGE)
@@ -364,10 +380,7 @@ def _solve4(unknowns, values, tol):
         res = constraints.c4_residual(**params)
         print(f"branch {unknown}{br.branch_label}: value={format_complex(br.value)} "
               f"{_torus_tag(br.value, tol)} constraint={abs(res):.3e}")
-        _print_branch_matrix(
-            "matrix", families.m4(params["a"], params["b"], params["c"], params["d"]),
-            tol,
-        )
+        _print_branch_matrix("matrix", families.m4(**params), tol)
     return EXIT_OK
 
 
@@ -376,17 +389,8 @@ def _solve6(unknowns, values, tol):
         raise CliError("order 6 solves one unknown among a b c d e f", EXIT_USAGE)
     unknown = unknowns[0]
     if unknown == "f":
-        names = list("abcde")
-        if len(values) != 5:
-            raise CliError(f"unknown f needs values for {names}", EXIT_USAGE)
-        a, b, c, d, e = values
-        for br in constraints.c6_solve_f(a, b, c, d, e):
-            res = constraints.c6_residuals(a, b, c, d, e, br.value)
-            print(f"branch f{br.branch_label}: value={format_complex(br.value)} "
-                  f"{_torus_tag(br.value, tol)} "
-                  f"constraints=({abs(res.values[0]):.3e}, {abs(res.values[1]):.3e})")
-            _print_branch_matrix("matrix", families.m6(a, b, c, d, e, br.value), tol)
-        return EXIT_OK
+        return _print_closed_branches(constraints.c6_solve_f, constraints.c6_residuals,
+                                      families.m6, values, tol)
     names = sorted(set("abcde") - {unknown})
     if len(values) != 4:
         raise CliError(f"unknown {unknown} needs values for {names}", EXIT_USAGE)
@@ -406,32 +410,16 @@ def _solve6(unknowns, values, tol):
         print(f"branch {unknown}{br.branch_label}: value={format_complex(br.value)} "
               f"{_torus_tag(br.value, tol)} reduced-constraint={abs(reduced):.3e}")
         for fbr in constraints.c6_solve_f(**params):
-            M = families.m6(params["a"], params["b"], params["c"],
-                            params["d"], params["e"], fbr.value)
-            sp = spectra.spectrum(M)
-            shown = " ".join(format_complex(z)
-                             for z in _sorted_for_print(sp.values, tol.tau_spec))
-            residual = core.orthogonality_residual(M)
-            print(f"    with f{fbr.branch_label}={format_complex(fbr.value)}: "
-                  f"residual={residual:.3e} "
-                  f"hadamard={str(core.is_hadamard(M, tol)).lower()}")
-            print(f"      spectrum: {shown}")
+            M = families.m6(**params, f=fbr.value)
+            _print_branch_matrix(f"with f{fbr.branch_label}={format_complex(fbr.value)}", M, tol)
+            _print_spectrum("      spectrum", M, tol)
     return EXIT_OK
 
 
 def _solve8(unknowns, values, tol, args):
     if unknowns == ["h"]:
-        names = list("abcdefg")
-        if len(values) != 7:
-            raise CliError(f"unknown h needs values for {names}", EXIT_USAGE)
-        for br in constraints.c8_solve_h(*values):
-            allp = list(values) + [br.value]
-            res = constraints.c8_residuals(*allp)
-            shown = ", ".join(f"{abs(v):.3e}" for v in res.values)
-            print(f"branch h{br.branch_label}: value={format_complex(br.value)} "
-                  f"{_torus_tag(br.value, tol)} constraints=({shown})")
-            _print_branch_matrix("matrix", families.m8(*allp), tol)
-        return EXIT_OK
+        return _print_closed_branches(constraints.c8_solve_h, constraints.c8_residuals,
+                                      families.m8, values, tol)
     fixed_names = [n for n in constraints.PARAM_NAMES_8 if n not in unknowns]
     if sorted(unknowns) != sorted(set(unknowns)) or not set(unknowns) <= set(
         constraints.PARAM_NAMES_8
@@ -503,10 +491,7 @@ def cmd_double(args) -> int:
     B, meta_b = parse_matrix(_read_file(args.file_b))
     diag_tokens = split_values(args.diag)
     diag = [parse_phase(v) for v in diag_tokens] if diag_tokens else None
-    try:
-        M = families.double(A, B, diag, tol)
-    except (InvalidParameter, InvalidDimensions) as exc:
-        raise CliError(str(exc), EXIT_CONSTRAINT)
+    M = families.double(A, B, diag, tol)
     meta = {
         "family": "double",
         "left": meta_a.get("family", "?"),

@@ -23,6 +23,7 @@ NaN values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,23 +91,26 @@ def _stack_nonzero(**params):
 
 # a NaN coefficient marks a sample without roots, whose roots stay NaN
 @np.errstate(invalid="ignore")
-def _quadratic_branches(name, lead, lin, const):
+def _quadratic_branches(name, lead, lin, const, shape):
     """Roots "+" and "-" of lead*u**2 + lin*u + const: (-lin +- sqrt(disc))/(2*lead).
 
-    The numerator of larger modulus gives its root directly; the other
-    root, whose numerator would cancel, is const/lead over the first.
+    The coefficients come as a stack, a single sample as a stack of one:
+    numpy's scalar arithmetic rounds differently from the array loops of a
+    stack, and a sample's roots must not depend on whether it came alone.
+    The roots take the sample `shape`, () for a single sample.  The
+    numerator of larger modulus gives its root directly; the other root,
+    whose numerator would cancel, is const/lead over the first.
     """
-    if np.ndim(lead) == 0 and lead == 0:
+    if shape == () and lead.item() == 0:
         raise DegenerateQuadratic(f"quadratic in {name!r} has vanishing leading coefficient")
     disc = lin * lin - 4.0 * lead * const
     root = np.sqrt(disc)
     plus = abs(-lin + root) >= abs(-lin - root)
     big = -lin + np.where(plus, root, -root)
     direct, other = big / (2.0 * lead), 2.0 * const / big
-    return (
-        SolutionBranch(name, "+", np.where(plus, direct, other)[()], disc),
-        SolutionBranch(name, "-", np.where(plus, other, direct)[()], disc),
-    )
+    disc, first, second = (v.reshape(shape)[()] for v in (
+        disc, np.where(plus, direct, other), np.where(plus, other, direct)))
+    return SolutionBranch(name, "+", first, disc), SolutionBranch(name, "-", second, disc)
 
 
 # ----------------------------------------------------------------- order 4
@@ -196,8 +200,9 @@ def _quadratic_in_last(x, s):
     k = (x.shape[-1] + 1) // 2
     ahead = _AHEAD[k][k - 1 - s].tolist()
     behind = ahead.index(2 * k - 1)  # x_{u-s} is the x_j with x_{j+s} = u
-    # P'/x_t, formed without division as the product of the other parameters
-    without = x[..., _OTHERS[2 * k - 1]].prod(axis=-1)
+    # P'/x_t, formed without division as the product of the other parameters,
+    # one factor at a time: numpy reduces a stack of one in another order
+    without = functools.reduce(np.multiply, np.moveaxis(x[..., _OTHERS[2 * k - 1]], -1, 0))
     free = sum(x[..., j] * without[..., t] for j, t in enumerate(ahead[:-1]) if j != behind)
     return without[..., ahead[-1]], free, x.prod(axis=-1) * x[..., behind]
 
@@ -226,7 +231,7 @@ def c6_residuals(a, b, c, d, e, f) -> ConstraintResidual:
 def c6_solve_f(a, b, c, d, e):
     """Both roots of the first order-6 constraint seen as a quadratic in f."""
     x = _stack_nonzero(a=a, b=b, c=c, d=d, e=e)
-    return _quadratic_branches("f", *_quadratic_in_last(x, 2))
+    return _quadratic_branches("f", *_quadratic_in_last(np.atleast_2d(x), 2), x.shape[:-1])
 
 
 def c6_reduced_residual(a, b, c, d, e) -> complex:
@@ -264,14 +269,16 @@ def c6_solve_quadratic(unknown: str, **given):
     """
     if unknown not in ("a", "b", "c"):
         raise InvalidParameter("quadratic unknowns are 'a', 'b' and 'c'")
-    const, lin, lead = np.moveaxis(_reduced_coefficients(unknown, **given), -1, 0)
+    coeffs = _reduced_coefficients(unknown, **given)
+    const, lin, lead = np.moveaxis(np.atleast_2d(coeffs), -1, 0)
     singular = abs(lead) <= DEFAULT_TOL.tau_entry * math.prod(map(np.abs, given.values()))
-    if np.ndim(singular) == 0 and singular:
+    if coeffs.ndim == 1 and singular.item():
         raise SingularBranch(
             f"coordinate singularity for {unknown!r}: partner relation "
             "p*e = q*d makes the quadratic collapse"
         )
-    return _quadratic_branches(unknown, np.where(singular, np.nan, lead), lin, const)
+    return _quadratic_branches(unknown, np.where(singular, np.nan, lead), lin, const,
+                               coeffs.shape[:-1])
 
 
 def c6_solve_cubic(unknown: str, tol: ToleranceConfig = DEFAULT_TOL, **given):
@@ -311,7 +318,7 @@ def c8_residuals(a, b, c, d, e, f, g, h) -> ConstraintResidual:
 def c8_solve_h(a, b, c, d, e, f, g):
     """Both roots of the first order-8 constraint as a quadratic in h."""
     x = _stack_nonzero(a=a, b=b, c=c, d=d, e=e, f=f, g=g)
-    return _quadratic_branches("h", *_quadratic_in_last(x, 3))
+    return _quadratic_branches("h", *_quadratic_in_last(np.atleast_2d(x), 3), x.shape[:-1])
 
 
 def c8_reduced_residual(a, b, c, d, e, f, g) -> complex:

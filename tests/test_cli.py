@@ -9,6 +9,7 @@ from hadamard_forge import bf, bf_quartic_roots, d6, d61, d61_family, d81, depha
 from hadamard_forge.cli import (
     EXIT_CONSTRAINT,
     EXIT_FALSE,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
@@ -357,6 +358,28 @@ class TestEquiv:
         assert code == EXIT_USAGE
 
 
+class TestHugeEntries:
+    # finite entries whose squares overflow a float
+    HUGE = np.array([[1e160, 1e160], [1e160, -1e160]])
+
+    def test_spectrum_reduce_is_a_numeric_failure(self, tmp_path, capsys):
+        path = write_matrix(tmp_path / "m.json", self.HUGE)
+        code, out, err = run(capsys, "spectrum", path, "--reduce")
+        assert code == EXIT_NUMERIC
+        assert "reduced" not in out
+        assert err.startswith("numeric failure: ")
+
+    def test_equiv_decides_normality(self, tmp_path, capsys):
+        pa = write_matrix(tmp_path / "a.json", self.HUGE)
+        code, out, _ = run(capsys, "equiv", pa, pa)
+        assert code == EXIT_OK
+        assert "unitary-equivalent: true" in out
+        pb = write_matrix(tmp_path / "b.json", np.triu(self.HUGE))
+        code, out, err = run(capsys, "equiv", pb, pb)
+        assert code == EXIT_CONSTRAINT
+        assert err == "error: spectral equivalence needs normal matrices\n"
+
+
 class TestSolve:
     def test_order6_f_at_unit_point(self, capsys):
         code, out, _ = run(
@@ -551,6 +574,21 @@ class TestDouble:
         assert code == EXIT_OK
         code, _, _ = run(capsys, "verify", str(out))
         assert code == EXIT_OK
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("target", ["no-such-dir/m.json", "."])
+    @pytest.mark.parametrize("command", ["gen", "double"])
+    def test_is_a_usage_error(self, tmp_path, capsys, command, target):
+        out = str(tmp_path / target)
+        if command == "gen":
+            argv = ["gen", "d6"]
+        else:
+            pa = write_matrix(tmp_path / "a.json", d6())
+            argv = ["double", pa, pa]
+        code, stdout, err = run(capsys, *argv, "--out", out)
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: cannot write {out!r}: ")
 
 
 class TestFlagPlacement:

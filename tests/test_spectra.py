@@ -9,6 +9,7 @@ from numpy.polynomial.polynomial import polyder, polyval
 from hadamard_forge import (
     NotNormal,
     NotReciprocal,
+    RootFindingFailure,
     SpectrumMultiset,
     bf,
     bf_quartic_roots,
@@ -481,3 +482,18 @@ class TestSpectrumAndEquivalence:
         sp = SpectrumMultiset([1.0, -1.0])
         assert len(sp) == 2
         assert "SpectrumMultiset" in repr(sp)
+
+
+class TestNonFiniteNeverPasses:
+    """A NaN residual fails every bound, as the documented error.
+
+    `spectrum --reduce` and `equiv` on huge entries are tested in test_cli.
+    """
+
+    def test_reduce_reciprocal_of_nan(self):
+        with pytest.raises(NotReciprocal):
+            reduce_reciprocal([np.nan, 0.0, 1.0])
+
+    def test_poly_roots_of_nan(self):
+        with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(RootFindingFailure):
+            poly_roots([1.0, np.nan, 1.0])
