@@ -37,6 +37,7 @@ from .core import (
 from .spectra import (
     SpectrumMultiset,
     char_poly,
+    circulant_block_spectrum,
     distinct_spectra,
     is_normal,
     is_reciprocal,

@@ -477,7 +477,9 @@ def cmd_sweep(args) -> int:
         raise CliError("--samples must be >= 1", EXIT_USAGE)
     stack = _sweep_matrices(args.order, int(args.seed), args.samples)
     hadamard = stack[core.is_hadamard(stack, tol)]
-    reps = spectra.distinct_spectra(spectra.spectrum(hadamard), tol.tau_spec)
+    # only sweep 6 samples circulant blocks (m6); h4, h44 and d8a have none
+    spectrum = spectra.circulant_block_spectrum if args.order == 6 else spectra.spectrum
+    reps = spectra.distinct_spectra(spectrum(hadamard), tol.tau_spec)
     print(f"samples: {args.samples}")
     print(f"hadamard_hits: {len(hadamard)}")
     print(f"distinct_spectra: {len(reps)}")

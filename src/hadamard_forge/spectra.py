@@ -9,6 +9,10 @@ A degree-2k polynomial is called reciprocal here when p(x) = x**k * q(y)
 for the substitution y = 1/x - x; the reduced polynomial q has half the
 degree and each of its roots lifts back to the root pair of
 x**2 + y*x - 1 = 0.
+
+`sweep 6` takes its spectra from the circulant blocks' DFT symbols: one
+2x2 block per frequency, unitary (so normal) for a Hadamard M, so the two
+terms under the square root of its eigenvalues add up without cancelling.
 """
 
 from __future__ import annotations
@@ -155,9 +159,11 @@ def poly_roots(coeffs, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     Aberth-Ehrlich simultaneous iteration, then a Newton polish per root,
     then cluster refinement: a clump of m nearly equal roots is replaced by
     the nearby simple root of the (m-1)-th derivative when the backward
-    error confirms a genuine m-fold root.  Raises RootFindingFailure when
-    the residual bound |p(root)| <= tau_root * scale cannot be met.
+    error confirms a genuine m-fold root.  Raises RootFindingFailure for
+    non-finite coefficients and when |p(root)| <= tau_root * scale fails.
     """
+    if not np.isfinite(coeffs).all():
+        raise RootFindingFailure("polynomial coefficients must be finite")
     c = trim(coeffs)
     if len(c) < 2:
         raise InvalidDimensions("root finding needs degree >= 1")
@@ -343,10 +349,36 @@ def spectrum(M):
     A = as_stack(M)
     m = A.shape[-1]
     A /= np.sqrt(m)
-    ev = np.linalg.eigvals(A)
+    return _multisets(np.linalg.eigvals(A))
+
+
+def _multisets(ev):
+    """The multiset of 1-d eigenvalues, or the list of one per matrix of a stack."""
     if ev.ndim == 1:
         return SpectrumMultiset(ev)
-    return [SpectrumMultiset._of_sorted(v) for v in _lexsorted(ev.reshape(-1, m))]
+    return [SpectrumMultiset._of_sorted(v) for v in _lexsorted(ev.reshape(-1, ev.shape[-1]))]
+
+
+def circulant_block_spectrum(M):
+    """spectrum of M = [[A, B], [C, D]] with circulant k x k blocks, without LAPACK.
+
+    The DFT splits M/sqrt(2k) into k 2x2 blocks [[alpha, beta], [gamma, delta]] of
+    the symbols, whose roots (alpha+delta)/2 +- sqrt(((alpha-delta)/2)**2 + beta*gamma)
+    do not cancel like tau**2 - 4*det.  Raises InvalidDimensions unless M has even
+    order and exactly circulant blocks.
+    """
+    A = as_stack(M)
+    m = A.shape[-1]
+    if m < 2 or m % 2:
+        raise InvalidDimensions(f"circulant blocks need an even order, got {m}")
+    blocks = A.reshape(A.shape[:-2] + (2, m // 2, 2, m // 2))
+    if not np.array_equal(np.roll(blocks, 1, axis=(-3, -1)), blocks):
+        raise InvalidDimensions("the four blocks are not circulant")
+    # pocketfft is about ten times slower on the strided view of the first rows
+    sym = np.fft.ifft(np.ascontiguousarray(blocks[..., 0, :, :]), norm="forward") / np.sqrt(m)
+    (alpha, beta), (gamma, delta) = np.moveaxis(sym, (-3, -2), (0, 1))
+    mean, root = (alpha + delta) / 2, np.sqrt(((alpha - delta) / 2) ** 2 + beta * gamma)
+    return _multisets(np.concatenate((mean + root, mean - root), axis=-1))
 
 
 def _cell_width(values, tol: float) -> float:

@@ -484,6 +484,16 @@ class TestSweep:
             assert run(capsys, "sweep", "6", "--samples", str(samples))[0] == EXIT_OK
             assert calls == ["c6_solve_quadratic", "c6_solve_f"]
 
+    @pytest.mark.parametrize("order, eigvals_calls", [(4, 1), (6, 0), (8, 1)])
+    def test_only_order6_spectra_skip_eigvals(self, capsys, monkeypatch, order, eigvals_calls):
+        # order 6 reads its spectra from the circulant blocks' Fourier symbols
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda *args: calls.append(1) or eigvals(*args))
+        assert run(capsys, "sweep", str(order), "--samples", "20")[0] == EXIT_OK
+        assert len(calls) == eigvals_calls
+
     def test_order6_drops_points_whose_a_or_f_is_zero_or_not_finite(self, monkeypatch):
         from hadamard_forge import families
         from hadamard_forge.cli import _sweep_matrices

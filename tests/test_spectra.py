@@ -7,22 +7,30 @@ from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyder, polyval
 
 from hadamard_forge import (
+    InvalidDimensions,
     NotNormal,
     NotReciprocal,
     RootFindingFailure,
     SpectrumMultiset,
+    a6,
+    b6,
     bf,
     bf_quartic_roots,
     char_poly,
+    circulant,
+    circulant_block_spectrum,
     d6,
     d61,
     d81,
     dephase,
     distinct_spectra,
+    double,
     h4,
     is_reciprocal,
     lift_roots,
+    m6,
     m6_from_branches,
+    m8,
     multiset_match,
     permutation_matrix,
     poly_roots,
@@ -484,6 +492,56 @@ class TestSpectrumAndEquivalence:
         assert "SpectrumMultiset" in repr(sp)
 
 
+@st.composite
+def circulant_block_stacks(draw):
+    """m6 or m8 stacks at torus points, off the torus, or with b*e = c*d."""
+    n = draw(st.sampled_from([6, 8]))
+    size = draw(st.integers(1, 4))
+    rows = st.lists(st.lists(ANGLES, min_size=n, max_size=n), min_size=size, max_size=size)
+    params = np.exp(1j * np.array(draw(rows)).T)
+    if draw(st.booleans()):
+        moduli = st.lists(st.lists(st.floats(-0.7, 0.7), min_size=n, max_size=n),
+                          min_size=size, max_size=size)
+        params = params * np.exp(np.array(draw(moduli)).T)
+    if draw(st.booleans()):
+        params[4] = params[2] * params[3] / params[1]
+    return (m6 if n == 6 else m8)(*params)
+
+
+class TestCirculantBlockSpectrum:
+    @settings(max_examples=200, deadline=None)
+    @given(circulant_block_stacks())
+    def test_equals_spectrum(self, stack):
+        got = circulant_block_spectrum(stack)
+        want = spectrum(stack)
+        assert len(got) == len(want) == len(stack)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.values, SpectrumMultiset(g.values).values)
+            assert multiset_match(g.values, w.values, 1e-12)
+
+    def test_one_matrix_gives_a_multiset_and_no_matrices_an_empty_list(self, rng):
+        M = m8(*random_phases(rng, 8))
+        got = circulant_block_spectrum(M)
+        assert isinstance(got, SpectrumMultiset)
+        assert got.matches(spectrum(M), 1e-12)
+        assert circulant_block_spectrum(np.zeros((0, 6, 6), dtype=complex)) == []
+
+    def test_near_double_eigenvalues_keep_their_digits(self, rng):
+        # symbol blocks alpha*I + O(1e-9), where tau**2 - 4*det keeps only ~8 digits
+        r = random_phases(rng, 3)
+        small = 1e-9 * random_phases(rng, 9)
+        M = np.block([[circulant(r), circulant(small[:3])],
+                      [circulant(small[3:6]), circulant(r + small[6:])]])
+        assert circulant_block_spectrum(M).matches(spectrum(M), 1e-12)
+
+    def test_blocks_that_are_not_circulant_are_rejected(self, rng):
+        nudged = m6(*random_phases(rng, 6))
+        nudged[4, 2] += 1e-12
+        for M in (d6(), d61(), double(a6(), b6()), nudged, np.eye(5), np.eye(1)):
+            with pytest.raises(InvalidDimensions):
+                circulant_block_spectrum(M)
+
+
 class TestNonFiniteNeverPasses:
     """A NaN residual fails every bound, as the documented error.
 
@@ -495,5 +553,12 @@ class TestNonFiniteNeverPasses:
             reduce_reciprocal([np.nan, 0.0, 1.0])
 
     def test_poly_roots_of_nan(self):
-        with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(RootFindingFailure):
+        with pytest.raises(RootFindingFailure):
             poly_roots([1.0, np.nan, 1.0])
+
+    @pytest.mark.parametrize("coeffs", [
+        [1.0, np.inf, 1.0], [1.0, -np.inf, 1.0], [1.0, 0.0, np.inf], [complex(1, -np.inf), 1.0],
+    ])
+    def test_poly_roots_of_inf(self, coeffs):
+        with pytest.raises(RootFindingFailure):
+            poly_roots(coeffs)
