@@ -40,11 +40,10 @@ from .spectra import (
     circulant_block_spectrum,
     distinct_spectra,
     is_normal,
-    is_reciprocal,
     lift_roots,
     multiset_match,
     poly_roots,
-    reduce_reciprocal,
+    reduced_roots,
     spectrum,
     unitary_equivalent,
 )

@@ -287,16 +287,17 @@ def cmd_verify(args) -> int:
 def cmd_spectrum(args) -> int:
     tol = _tolerances(args)
     M, _ = parse_matrix(_read_file(args.file))
-    for z in _sorted_for_print(spectra.spectrum(M).values, tol.tau_spec):
+    values = spectra.spectrum(M).values
+    for z in _sorted_for_print(values, tol.tau_spec):
         print(format_complex(z))
     if args.reduce:
         try:
-            q = spectra.reduce_reciprocal(spectra.char_poly(M))
+            ys = spectra.reduced_roots(values, tol.tau_spec)
         except core.NotReciprocal:
             print("reduced: not reciprocal")
         else:
             print("reduced-roots:")
-            for y in _sorted_for_print(spectra.poly_roots(q, tol), tol.tau_spec):
+            for y in _sorted_for_print(ys, tol.tau_spec):
                 print(format_complex(y))
     return EXIT_OK
 
@@ -607,7 +608,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early, as `head` does; stdout goes to devnull so
+        # that the interpreter's last flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -5,10 +5,10 @@ Polynomials are plain 1-d complex arrays in ascending degree order, so
 scaled matrix M/sqrt(m), whose eigenvalues lie on the unit circle whenever
 M is Hadamard of order m.
 
-A degree-2k polynomial is called reciprocal here when p(x) = x**k * q(y)
-for the substitution y = 1/x - x; the reduced polynomial q has half the
-degree and each of its roots lifts back to the root pair of
-x**2 + y*x - 1 = 0.
+A spectrum is reciprocal here when its values pair as (x, -1/x), with i
+and -i (their own partners) each of even multiplicity: exactly then its
+characteristic polynomial is x**k * q(1/x - x), q of half the degree.
+Each root y = 1/x - x of q lifts back to the roots of x**2 + y*x - 1 = 0.
 
 `sweep 6` takes its spectra from the circulant blocks' DFT symbols: one
 2x2 block per frequency, unitary (so normal) for a Hadamard M, so the two
@@ -218,59 +218,6 @@ def char_poly(M) -> np.ndarray:
     return coeffs
 
 
-def _reduction_candidate(coeffs):
-    """Build q with q(1/x - x) * x**k = p(x) from the symmetrised low half.
-
-    Uses T_0 = 2, T_1 = y and T_{m+1} = y*T_m + T_{m-1}, where T_m stands
-    for x**-m + (-1)**m * x**m expressed in y.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    n = len(c) - 1
-    k = n // 2
-    q = np.zeros(k + 1, dtype=complex)
-    q[0] = c[k]
-    t_prev = np.array([2.0 + 0j])
-    t_cur = np.array([0.0, 1.0 + 0j])
-    for m in range(1, k + 1):
-        sym = (c[k - m] + (-1) ** m * c[k + m]) / 2.0
-        q[: m + 1] += sym * t_cur
-        t_next = np.concatenate(([0j], t_cur))
-        t_next[: len(t_prev)] += t_prev
-        t_prev, t_cur = t_cur, t_next
-    return q
-
-
-def reduce_reciprocal(p) -> np.ndarray:
-    """Degree-k polynomial q in y = 1/x - x with q(1/x - x) * x**k = p(x).
-
-    The candidate q is built from the low-order half of the coefficients;
-    NotReciprocal is raised when the identity fails on sample points with
-    |x| = 1.3 beyond 1e-9 relative (checked after construction, so
-    near-reciprocal numerical inputs pass with their coefficient noise
-    symmetrised away).  Equivalent to the coefficient pattern
-    c[2k-j] = (-1)**(k+j) * c[j].
-    """
-    c = trim(p)
-    n = len(c) - 1
-    if n < 2 or n % 2 != 0:
-        raise NotReciprocal("reduction needs an even degree >= 2")
-    q = _reduction_candidate(c)
-    xs = 1.3 * np.exp(1j * np.linspace(0.1, 2 * np.pi, n + 1))
-    gap = np.max(np.abs(polyval(xs, c) - polyval(1.0 / xs - xs, q) * xs ** (n // 2)))
-    if not gap <= 1e-9 * np.sum(np.abs(c) * 1.3 ** np.arange(n + 1)):
-        raise NotReciprocal("polynomial does not satisfy the y-substitution pattern")
-    return q
-
-
-def is_reciprocal(p) -> bool:
-    """True when p admits the y = 1/x - x substitution: reduce_reciprocal accepts it."""
-    try:
-        reduce_reciprocal(p)
-    except NotReciprocal:
-        return False
-    return True
-
-
 def lift_roots(yroots) -> np.ndarray:
     """Map each y to the two roots of x**2 + y*x - 1 = 0."""
     ys = np.asarray(yroots, dtype=complex)
@@ -278,18 +225,17 @@ def lift_roots(yroots) -> np.ndarray:
     return np.concatenate(((-ys + disc) / 2.0, (-ys - disc) / 2.0))
 
 
-def multiset_match(avals, bvals, tol: float) -> bool:
-    """Tolerance-based bijective matching between two complex multisets.
+def _pairing(avals, bvals, tol: float):
+    """match_of_b, pairing bvals[j] with avals[match_of_b[j]] within tol, or None.
 
-    True when some bijection pairs every value of `avals` with one of
-    `bvals` at distance <= tol: exact bipartite matching by augmenting
-    paths on the graph of such pairs, so clustered or permuted values
-    compare correctly.  A NaN distance or bound admits no pair.
+    Exact bipartite matching by augmenting paths on the graph of the pairs
+    within tol, so clustered or permuted values compare correctly.  A NaN
+    distance or bound admits no pair.
     """
     A = np.asarray(avals, dtype=complex).tolist()
     B = np.asarray(bvals, dtype=complex).tolist()
     if len(A) != len(B):
-        return False
+        return None
     n = len(A)
     adj = [[j for j, b in enumerate(B) if abs(a - b) <= tol] for a in A]
     match_of_b = [-1] * n
@@ -304,7 +250,43 @@ def multiset_match(avals, bvals, tol: float) -> bool:
                 return True
         return False
 
-    return all(augment(i, [False] * n) for i in range(n))
+    return match_of_b if all(augment(i, [False] * n) for i in range(n)) else None
+
+
+def multiset_match(avals, bvals, tol: float) -> bool:
+    """Tolerance-based multiset equality: _pairing finds a bijection within tol."""
+    return _pairing(avals, bvals, tol) is not None
+
+
+def reduced_roots(values, tol: float = DEFAULT_TOL.tau_spec) -> np.ndarray:
+    """The roots of the reduced polynomial: one y = 1/x - x per pair (x, -1/x) of values.
+
+    _pairing of x against -1/x gives s with x[s(j)] ~ -1/x[j].  Consecutive
+    members of a cycle of s pair, and a pair's y comes from its member of
+    larger modulus, since 1/x magnifies the error of a small x.  Only an odd
+    cycle leaves one over, near +-i where y is flat; sorted by Im y, the
+    leftovers pair when each two agree within tol.  Raises NotReciprocal
+    otherwise, as for an odd count.
+    """
+    x = np.asarray(values, dtype=complex).ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero value pairs with nothing
+        partner_of, y = _pairing(x, -1.0 / x, tol), 1.0 / x - x
+    if partner_of is None:
+        raise NotReciprocal("the values do not pair as (x, -1/x)")
+    ys, left, seen = [], [], [False] * len(x)
+    for start in range(len(x)):
+        cycle, j = [], start
+        while not seen[j]:
+            seen[j] = True
+            cycle.append(j)
+            j = partner_of[j]
+        ys += [y[max(pair, key=lambda k: abs(x[k]))] for pair in zip(cycle[::2], cycle[1::2])]
+        if len(cycle) % 2:
+            left.append(y[cycle[-1]])
+    left.sort(key=lambda v: v.imag)
+    if len(left) % 2 or not all(abs(u - v) <= tol for u, v in zip(left[::2], left[1::2])):
+        raise NotReciprocal("i or -i has an odd multiplicity")
+    return np.array(ys + left[::2], dtype=complex)
 
 
 def _lexsorted(vals):

@@ -1,18 +1,34 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadamard_forge import bf, bf_quartic_roots, d6, d61, d61_family, d81, dephase
+import hadamard_forge
+from hadamard_forge import (
+    bf,
+    bf_quartic_roots,
+    d6,
+    d61,
+    d61_family,
+    d81,
+    dephase,
+    lift_roots,
+    multiset_match,
+)
 from hadamard_forge.cli import (
     EXIT_CONSTRAINT,
     EXIT_FALSE,
-    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
+    CliError,
     main,
     parse_matrix,
     parse_phase,
@@ -29,6 +45,22 @@ def run(capsys, *argv):
 def write_matrix(path, M, fmt="json", meta=None):
     path.write_text(serialize_matrix(M, meta or {}, fmt))
     return str(path)
+
+
+def parse_printed(lines):
+    return np.array([complex(ln.replace("i", "j")) for ln in lines])
+
+
+def doubled_chain(tmp_path, capsys, left, right, doublings):
+    """Path of `left` doubled with `right`, then with itself, `doublings` times in all."""
+    paths = [str(tmp_path / f"{name}.json") for name in (left, right)]
+    for name, path in zip((left, right), paths):
+        assert run(capsys, "gen", name, "--out", path)[0] == EXIT_OK
+    for k in range(doublings):
+        out = str(tmp_path / f"doubled{k}.json")
+        assert run(capsys, "double", *paths, "--out", out)[0] == EXIT_OK
+        paths = [out, out]
+    return paths[0]
 
 
 class TestPhaseParsing:
@@ -68,6 +100,31 @@ class TestPhaseParsing:
         assert (code, out) == (EXIT_USAGE, "")
 
 
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=12)
+
+
+def json_documents():
+    """JSON objects near the matrix document: any values under its three keys."""
+    numbers = st.integers(-2, 2) | st.floats() | st.integers(-(10**400), 10**400)
+    entries = st.lists(st.lists(st.lists(numbers, max_size=3), max_size=3), max_size=3)
+    return st.fixed_dictionaries({}, optional={
+        "order": _JSON_VALUES | st.integers(-1, 3),
+        "entries": _JSON_VALUES | entries,
+        "metadata": _JSON_VALUES,
+    }).map(json.dumps)
+
+
+def csv_rows():
+    """Lines of comma-separated tokens over the characters of complex literals."""
+    token = st.text(alphabet="0123456789.+-eEijnaf# :", max_size=8)
+    return st.lists(st.lists(token, min_size=1, max_size=3), max_size=4).map(
+        lambda rows: "\n".join(",".join(row) for row in rows))
+
+
 class TestSerialization:
     def test_json_roundtrip_byte_identical(self):
         M = d81()
@@ -96,11 +153,19 @@ class TestSerialization:
         assert serialize_matrix(M2, meta, "csv") == text
 
     def test_parse_rejects_garbage(self):
-        from hadamard_forge.cli import CliError
-
         with pytest.raises(CliError) as err:
             parse_matrix("not a matrix at all")
         assert err.value.code == EXIT_PARSE
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.text(), json_documents(), csv_rows()))
+    def test_parse_raises_only_cli_error(self, text):
+        try:
+            M, meta = parse_matrix(text)
+        except CliError as exc:
+            assert exc.code == EXIT_PARSE
+        else:
+            assert M.ndim == 2 and M.shape[0] == M.shape[1] and isinstance(meta, dict)
 
 
 class TestGen:
@@ -318,6 +383,48 @@ class TestSpectrum:
         assert code == EXIT_OK
         assert "not reciprocal" in out
 
+    def test_m48_reduced_roots_lift_onto_its_eigenvalues(self, tmp_path, capsys):
+        # a6/b6 -> m12 -> m24 -> m48, whose eigenvalues pair as (x, -1/x)
+        path = doubled_chain(tmp_path, capsys, "a6", "b6", 3)
+        code, out, _ = run(capsys, "spectrum", path, "--reduce")
+        lines = out.splitlines()
+        assert code == EXIT_OK and lines[48] == "reduced-roots:" and len(lines) == 48 + 1 + 24
+        eigenvalues, ys = parse_printed(lines[:48]), parse_printed(lines[49:])
+        assert multiset_match(lift_roots(ys), eigenvalues, 1e-8)
+
+    def test_d12_reduces_to_six_zero_roots(self, tmp_path, capsys):
+        path = doubled_chain(tmp_path, capsys, "d6", "d6", 1)
+        code, out, _ = run(capsys, "spectrum", path, "--reduce")
+        lines = out.splitlines()
+        assert code == EXIT_OK and lines[12] == "reduced-roots:" and len(lines) == 19
+        assert np.max(np.abs(parse_printed(lines[13:]))) <= 1e-12
+
+    @pytest.mark.parametrize("M", [
+        1j * np.array([[1, 1], [1, -1]]),                           # spectrum {i, -i}
+        np.ones((2, 2)),                                            # eigenvalue 0
+        np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3),     # odd order
+    ])
+    def test_unpaired_spectra_are_not_reciprocal_without_warnings(self, M, tmp_path, capsys):
+        path = write_matrix(tmp_path / "m.json", M)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "spectrum", path, "--reduce")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[len(M):] == ["reduced: not reciprocal"]
+
+    def test_reduce_uses_no_polynomial(self, tmp_path, capsys, monkeypatch):
+        from hadamard_forge import spectra
+
+        calls = []
+        for name in ("char_poly", "poly_roots"):
+            fn = getattr(spectra, name)
+            monkeypatch.setattr(spectra, name,
+                                lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
+        for M in (d81(), d6(), d61()):
+            path = write_matrix(tmp_path / "m.json", M)
+            assert run(capsys, "spectrum", path, "--reduce")[0] == EXIT_OK
+        assert calls == []
+
     def test_sorted_by_real_then_imag(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "m.json", d61())
         _, out, _ = run(capsys, "spectrum", path)
@@ -362,12 +469,12 @@ class TestHugeEntries:
     # finite entries whose squares overflow a float
     HUGE = np.array([[1e160, 1e160], [1e160, -1e160]])
 
-    def test_spectrum_reduce_is_a_numeric_failure(self, tmp_path, capsys):
+    def test_spectrum_reduce_finds_no_pairs(self, tmp_path, capsys):
+        # the eigenvalues +-1e160 have partners -+1e-160, so nothing pairs
         path = write_matrix(tmp_path / "m.json", self.HUGE)
         code, out, err = run(capsys, "spectrum", path, "--reduce")
-        assert code == EXIT_NUMERIC
-        assert "reduced" not in out
-        assert err.startswith("numeric failure: ")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[-1] == "reduced: not reciprocal"
 
     def test_equiv_decides_normality(self, tmp_path, capsys):
         pa = write_matrix(tmp_path / "a.json", self.HUGE)
@@ -584,6 +691,42 @@ class TestDouble:
         assert code == EXIT_OK
         code, _, _ = run(capsys, "verify", str(out))
         assert code == EXIT_OK
+
+
+class TestClosedStdout:
+    """A reader that stops early, as `head` does, ends the command with exit 0."""
+
+    @staticmethod
+    def _env(buffered):
+        env = dict(os.environ, PYTHONPATH=str(Path(hadamard_forge.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        return env if buffered else dict(env, PYTHONUNBUFFERED="1")
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_pipe_closed_before_the_first_line(self, buffered):
+        # `| head -0`: the pipe has no reader left when the command first writes
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hadamard_forge.cli", "sweep", "6", "--samples", "5"],
+                stdout=write_end, stderr=subprocess.PIPE, env=self._env(buffered), timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+
+    def test_pipe_closed_after_one_line(self, tmp_path, capsys):
+        # an order-96 CSV is some 230 kB, more than a pipe holds, so the command
+        # is still writing when the reader closes after its first line
+        m48 = doubled_chain(tmp_path, capsys, "a6", "b6", 3)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hadamard_forge.cli", "double", m48, m48, "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self._env(True))
+        assert proc.stdout.readline() == b"# family: double\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (EXIT_OK, b"")
 
 
 class TestUnwritableOut:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hadamard_forge import (
@@ -42,7 +42,7 @@ from hadamard_forge import (
     multiset_match,
     orthogonality_residual,
     poly_roots,
-    reduce_reciprocal,
+    reduced_roots,
     spectrum,
     unimodularity_deviation,
     unitary_equivalent,
@@ -52,6 +52,11 @@ from conftest import assert_spectrum, random_phases
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
 SQ6 = np.sqrt(6.0)
+
+
+def _reduced_cubic(M):
+    """Monic reduced polynomial of the spectrum of an order-6 M, ascending."""
+    return np.poly(reduced_roots(spectrum(M).values))[::-1]
 
 
 def bf_dephased_pattern(d):
@@ -140,7 +145,7 @@ class TestH4:
         # closed form via the y-substitution of the quartic
         b, c, d = random_phases(rng, 3)
         casc = ec1_coeffs(b, c, d)
-        ys = poly_roots(reduce_reciprocal(casc))
+        ys = reduced_roots(poly_roots(casc))
         assert multiset_match(lift_roots(ys), spectrum(h4(b, c, d)).values, 1e-8)
 
 
@@ -417,17 +422,15 @@ class TestD6Families:
             c, d, e = random_phases(rng, 3)
             if abs(c * c * d - e) < 0.1:
                 continue
-            q1 = reduce_reciprocal(char_poly(d61_family(c, d, e)))
-            q2 = reduce_reciprocal(char_poly(d62_family(c, d, e)))
-            q1, q2 = q1 / q1[3], q2 / q2[3]
+            q1 = _reduced_cubic(d61_family(c, d, e))
+            q2 = _reduced_cubic(d62_family(c, d, e))
             assert abs(q1[2] + q2[2]) < 1e-8       # y^2 flips sign
             assert abs(q1[1] - q2[1]) < 1e-8       # y coefficient shared
             assert abs(q1[2]) > 1e-3               # and is nonzero here
 
     def test_reduced_linear_and_quadratic_match_closed_forms(self, rng):
         c, d, e = random_phases(rng, 3)
-        q1 = reduce_reciprocal(char_poly(d61_family(c, d, e)))
-        q1 = q1 / q1[3]
+        q1 = _reduced_cubic(d61_family(c, d, e))
         r1 = np.sqrt(c**4 * d**5 * e + 0j)
         y2 = -np.sqrt(1.5) * (c * c * d - e) * r1 / (c**3 * d**3 * e)
         y1 = (c**4 * d * d + e * e) / (c * c * d * e)
@@ -499,6 +502,29 @@ class TestM8:
         assert abs(c8_residuals(*p, h).values[0]) < 1e-10
 
 
+@st.composite
+def equal_order_hadamards(draw):
+    """Two Hadamard matrices of one order: random h4 or m6 points, or d81 twice."""
+    family = draw(st.sampled_from(["h4", "m6", "d81"]))
+    if family == "d81":
+        return d81(), d81()
+
+    def member():
+        b, c, d, e = np.exp(1j * np.array(draw(
+            st.lists(st.floats(0.0, 2 * np.pi), min_size=4, max_size=4))))
+        if family == "h4":
+            return h4(b, c, d)
+        try:
+            points = list(m6_branch_points(b, c, d, e))
+        except SingularBranch:
+            points = []
+        hits = [M for M in (m6(a, b, c, d, e, f) for *_, a, f in points) if is_hadamard(M)]
+        assume(hits)
+        return draw(st.sampled_from(hits))
+
+    return member(), member()
+
+
 class TestDoubling:
     def test_order_two_to_four(self):
         H2 = np.array([[1, 1], [1, -1]], dtype=complex)
@@ -536,6 +562,16 @@ class TestDoubling:
         M12 = double(a6(), b6())
         assert spectrum(M12).max_unimodularity_deviation() < 1e-8
 
+    @settings(max_examples=20, deadline=None)
+    @given(equal_order_hadamards())
+    def test_closure_up_to_order_48(self, pair):
+        X, Y = pair
+        while 2 * len(X) <= 48:
+            X, Y = double(X, Y), double(Y, X)
+            assert is_hadamard(X)
+            values = spectrum(X).values
+            assert multiset_match(lift_roots(reduced_roots(values)), values, 1e-8)
+
     def test_order16_from_doubled_octics(self, rng):
         A = d8a(*random_phases(rng, 6))
         B = d8a(*random_phases(rng, 6))
@@ -558,14 +594,14 @@ class TestD8aAndD81:
         assert is_hadamard(d81())
 
     def test_d81_reduced_roots(self):
-        q = reduce_reciprocal(char_poly(d81()))
+        ys = reduced_roots(spectrum(d81()).values)
         expected = [
             -1j * SQ2,
             1j * (2 + SQ2) / 2,
             1j * (SQ2 + np.sqrt(10.0)) / 4,
             1j * (SQ2 - np.sqrt(10.0)) / 4,
         ]
-        assert multiset_match(poly_roots(q), expected, 1e-8)
+        assert multiset_match(ys, expected, 1e-8)
 
     def test_d81_x_spectrum_contains_lifted_pair(self):
         sp = spectrum(d81()).values

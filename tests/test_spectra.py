@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyder, polyval
 
@@ -26,7 +26,6 @@ from hadamard_forge import (
     distinct_spectra,
     double,
     h4,
-    is_reciprocal,
     lift_roots,
     m6,
     m6_from_branches,
@@ -34,7 +33,7 @@ from hadamard_forge import (
     multiset_match,
     permutation_matrix,
     poly_roots,
-    reduce_reciprocal,
+    reduced_roots,
     spectrum,
     unitary_equivalent,
 )
@@ -149,34 +148,100 @@ class TestCharPoly:
 
 class TestReciprocal:
     def test_order4_family_pattern_is_reciprocal(self, rng):
-        # ascending (1, p, s, -p, 1) admits the substitution
+        # ascending (1, p, s, -p, 1) is x**2 * q(1/x - x) with q = y**2 + p*y + s + 2
         p, s = rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal()
-        assert is_reciprocal(np.array([1, p, s, -p, 1]))
+        ys = reduced_roots(poly_roots(np.array([1, p, s, -p, 1])))
+        assert np.max(np.abs(np.poly(ys) - [1, p, s + 2])) <= 1e-8
 
     def test_non_reciprocal(self):
-        assert not is_reciprocal(np.array([1, 1, 0, 0, 1], dtype=complex))
+        with pytest.raises(NotReciprocal):
+            reduced_roots(poly_roots(np.array([1, 1, 0, 0, 1], dtype=complex)))
 
     def test_palindromic_even_sextic_is_not_y_reducible(self):
         # palindromic coefficients close under x -> 1/x, not under the
         # x -> -1/x symmetry the y-substitution needs
         casc = np.array([1, -SQ6, 3, -2 * SQ2, 3, -SQ6, 1], dtype=complex)
-        assert not is_reciprocal(casc)
         with pytest.raises(NotReciprocal):
-            reduce_reciprocal(casc)
+            reduced_roots(poly_roots(casc))
 
-    def test_d6_char_poly_reduces(self):
-        cp = char_poly(d6())
-        assert is_reciprocal(cp)
-        q = reduce_reciprocal(cp)
-        # (x^2-1)^3 = x^3 * (-y)^3 pattern: triple root y = 0
-        assert_spectrum(poly_roots(q), [0, 0, 0], 1e-4)
+    def test_d6_spectrum_reduces(self):
+        # {-1 x3, +1 x3}: (x^2-1)^3 = x^3 * (-y)^3, a triple root y = 0
+        ys = reduced_roots(spectrum(d6()).values)
+        assert_spectrum(ys, [0, 0, 0], 1e-12)
 
     def test_x_squared_minus_one(self):
-        q = reduce_reciprocal(np.array([-1.0, 0.0, 1.0]))
-        assert_spectrum(poly_roots(q), [0.0], 1e-12)
+        assert_spectrum(reduced_roots([1.0, -1.0]), [0.0], 1e-12)
 
     def test_odd_degree_rejected(self):
-        assert not is_reciprocal(np.array([1.0, 2.0, 3.0, 1.0]))
+        with pytest.raises(NotReciprocal):
+            reduced_roots(poly_roots(np.array([1.0, 2.0, 3.0, 1.0])))
+        with pytest.raises(NotReciprocal):
+            reduced_roots([1j])
+
+    @pytest.mark.parametrize("values", [
+        [1j, -1j], [1j, 1j, 1j, -1j], [1j, 1j, 1j, 1.0, -1.0, -1j],
+    ])
+    def test_plus_minus_i_of_odd_multiplicity_rejected(self, values):
+        # {i, -i} matches its image under x -> -1/x, but x**2 + 1 is not reciprocal
+        with pytest.raises(NotReciprocal):
+            reduced_roots(values)
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-10, 4e-9, 4.9e-9])
+    def test_plus_minus_i_of_even_multiplicity(self, delta):
+        # a pair split by up to tau_spec still reduces: y = 1/x - x is flat at +-i
+        ys = reduced_roots([1j + delta, -1j, 1j - delta, -1j * (1 + delta)])
+        assert_spectrum(ys, [-2j, 2j], 1e-15)
+
+    def test_zero_value_has_no_partner(self):
+        # no divide warning either: the suite turns RuntimeWarning into an error
+        for values in ([0.0, 1.0], [0.0, 0.0], [0.0, 1e9]):
+            with pytest.raises(NotReciprocal):
+                reduced_roots(values)
+
+    def test_empty_input_has_no_roots(self):
+        assert reduced_roots([]).shape == (0,)
+
+
+# the drawn values are exact, so a tight bound keeps distinct draws from pairing
+EXACT_TOL = 1e-12
+
+
+@st.composite
+def reciprocal_multisets(draw):
+    """A shuffled multiset X u -1/X: unimodular and off-circle values, repeats,
+    and i and -i each of even multiplicity."""
+    values = []
+    for r, theta, copies in draw(st.lists(st.tuples(
+            st.one_of(st.just(1.0), st.floats(0.2, 5.0)),
+            st.floats(0.0, 2 * np.pi), st.integers(1, 3)), max_size=5)):
+        x = r * np.exp(1j * theta)
+        assume(abs(x * x + 1) > 1e-6)  # values at +-i come from the counts below
+        values += [x, -1.0 / x] * copies
+    values += [1j] * draw(st.sampled_from([0, 2, 4])) + [-1j] * draw(st.sampled_from([0, 2, 4]))
+    return np.array(draw(st.permutations(values)), dtype=complex)
+
+
+class TestReducedRootsProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(reciprocal_multisets())
+    def test_lift_of_reduced_roots_gives_the_values_back(self, values):
+        ys = reduced_roots(values, EXACT_TOL)
+        assert len(ys) == len(values) // 2
+        assert multiset_match(lift_roots(ys), values, 1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(reciprocal_multisets(), st.integers(0, 10**6))
+    def test_dropping_a_value_is_not_reciprocal(self, values, k):
+        assume(len(values) > 0)
+        with pytest.raises(NotReciprocal):
+            reduced_roots(np.delete(values, k % len(values)), EXACT_TOL)
+
+    @settings(max_examples=200, deadline=None)
+    @given(reciprocal_multisets(), st.integers(0, 3), st.integers(0, 3))
+    def test_adding_plus_minus_i_of_odd_multiplicity_is_not_reciprocal(self, values, a, b):
+        assume(a % 2 or b % 2)
+        with pytest.raises(NotReciprocal):
+            reduced_roots(np.concatenate((values, [1j] * a, [-1j] * b)), EXACT_TOL)
 
 
 class TestLiftRoots:
@@ -198,7 +263,6 @@ class TestReductionRoundtrip:
     def test_roundtrip_200_random_reciprocal(self):
         rng = np.random.default_rng(123)
         count = 0
-        worst = 0.0
         while count < 200:
             k = int(rng.integers(1, 5))
             lower = rng.normal(size=k + 1) + 1j * rng.normal(size=k + 1)
@@ -209,9 +273,8 @@ class TestReductionRoundtrip:
             if abs(casc[0]) < 1e-2 or abs(casc[-1]) < 1e-2:
                 continue
             count += 1
-            assert is_reciprocal(casc)
-            lifted = lift_roots(poly_roots(reduce_reciprocal(casc)))
             direct = poly_roots(casc)
+            lifted = lift_roots(reduced_roots(direct))
             assert multiset_match(lifted, direct, 1e-8)
 
     def test_roundtrip_identity_on_samples(self, rng):
@@ -221,7 +284,8 @@ class TestReductionRoundtrip:
         for m in range(0, k + 1):
             casc[k - m] = lower[m]
             casc[k + m] = (-1) ** m * lower[m]
-        q = reduce_reciprocal(casc)
+        # x**k * prod(1/x - x - y_j) = (-1)**k * prod over the lifted roots of (x - r)
+        q = (-1) ** k * casc[-1] * np.poly(reduced_roots(poly_roots(casc)))[::-1]
         xs = 0.7 * np.exp(1j * np.linspace(0.3, 6.0, 11))
         lhs = polyval(1.0 / xs - xs, q) * xs**k
         rhs = polyval(xs, casc)
@@ -548,9 +612,12 @@ class TestNonFiniteNeverPasses:
     `spectrum --reduce` and `equiv` on huge entries are tested in test_cli.
     """
 
-    def test_reduce_reciprocal_of_nan(self):
+    def test_reduced_roots_of_nan(self):
+        for values in ([np.nan, 1.0], [np.nan, np.nan], [complex(1, np.nan), -1.0]):
+            with pytest.raises(NotReciprocal):
+                reduced_roots(values)
         with pytest.raises(NotReciprocal):
-            reduce_reciprocal([np.nan, 0.0, 1.0])
+            reduced_roots([1.0, -1.0], np.nan)
 
     def test_poly_roots_of_nan(self):
         with pytest.raises(RootFindingFailure):
