@@ -169,9 +169,9 @@ def _write_output(text: str, out):
 
 
 def _sorted_for_print(values, tau):
-    vals = list(values)
-    vals.sort(key=lambda z: (round(z.real / tau), round(z.imag / tau), z.real, z.imag))
-    return vals
+    # a Python z / tau overflows to inf silently; round(x, 0) orders as round(x) but keeps inf
+    return sorted(map(complex, values), key=lambda z: (
+        round(z.real / tau, 0), round(z.imag / tau, 0), z.real, z.imag))
 
 
 # ------------------------------------------------------------------ commands
@@ -452,19 +452,18 @@ _SWEEP_PHASES = {4: 3, 6: 4, 8: 6}
 def _sweep_matrices(order, seed, samples):
     """Every matrix a sweep samples, in sample order, as one (N, m, m) stack.
 
-    Sample i draws its torus phases from default_rng([seed, i]).  Order 4
-    takes h4 and h44, order 8 one d8a.  Order 6 takes the four (a±, f±)
-    points of the family, solved for all samples in one pass; a singular
-    a-quadratic, or an a or f that is zero or not finite, gives no matrix.
+    Sample i draws its torus phases from default_rng([seed, i]), all samples
+    at once in core.torus_draws.  Order 4 takes h4 and h44, order 8 one d8a.
+    Order 6 takes the four (a±, f±) points of the family, solved for all
+    samples in one pass; a singular a-quadratic, or an a or f that is zero
+    or not finite, gives no matrix.
     """
-    k = _SWEEP_PHASES[order]
-    draws = [np.exp(2j * np.pi * np.random.default_rng([seed, i]).random(k))
-             for i in range(samples)]
+    draws = core.torus_draws(seed, samples, _SWEEP_PHASES[order])
     if order == 4:
         return np.array([f(*p) for p in draws for f in (families.h4, families.h44)])
     if order == 8:
         return np.array([families.d8a(*p) for p in draws])
-    b, c, d, e = np.array(draws).T
+    b, c, d, e = draws.T
     points = list(families.m6_branch_points(b, c, d, e))
     a, f = (np.stack([p[j] for p in points], axis=-1).ravel() for j in (2, 3))
     rows = np.array([a, *np.repeat([b, c, d, e], 4, axis=-1), f])
@@ -605,6 +604,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        if args.seed < 0:  # numpy's seed sequences take non-negative integers only
+            _parser().error(f"argument --seed: must be non-negative, got {args.seed}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -37,6 +37,7 @@ from .core import (
     ParamVector,
     SingularBranch,
     ToleranceConfig,
+    torus_draws,
 )
 from .spectra import poly_roots
 
@@ -357,8 +358,10 @@ def c8_numeric_solve(
 
     `fixed` maps five to seven of the names 'a'..'h' to unimodular values;
     the remaining parameters are solved so all three constraints vanish.
-    Each restart draws its start point from an independent substream of
-    `seed`, so results are reproducible and independent of scheduling.
+    Restart k starts from exp(2j*pi*default_rng([seed, k]).random(n_free)),
+    all restarts' points computed at once by torus_draws, so results are
+    reproducible and independent of scheduling; a negative seed raises
+    InvalidParameter.
     All restarts step together as one batch, each with the exact Jacobian
     of the cyclic-ratio form and a least-squares Newton step damped by
     lambda = 1, 1/2, ... > 1e-4.  A restart whose line search finds no
@@ -386,10 +389,7 @@ def c8_numeric_solve(
         r, jac = _cyclic_ratio_residuals_and_jacobian(full)
         return r, jac[..., free]
 
-    x = np.array([
-        np.exp(2j * np.pi * np.random.default_rng([int(seed), k]).random(len(free)))
-        for k in range(restarts)
-    ]).reshape(restarts, len(free))
+    x = torus_draws(seed, restarts, len(free))
     ok = np.zeros(restarts, dtype=bool)
     active = np.arange(restarts)
     for _ in range(max_iter):

@@ -87,6 +87,49 @@ class ParamVector:
         object.__setattr__(self, "on_torus", tuple(bool(f) for f in flags))
 
 
+# numpy's SeedSequence hash constants and PCG64's multiplier
+_HASH_A, _MULT_A, _HASH_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_PCG_MULT, _M64, _M128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**64 - 1, 2**128 - 1
+
+
+def _hashmix(rows, at, init=_HASH_A, mult=_MULT_A):
+    """SeedSequence's hashmix of each of the uint32 `rows`, with hash constants at, at+1, ..."""
+    h = np.uint32([init * pow(mult, j, 2**32) % 2**32 for j in range(at, at + len(rows) + 1)])
+    v = (rows ^ h[:-1, None]) * h[1:, None]
+    return v ^ v >> np.uint32(16)
+
+
+def torus_draws(seed: int, count: int, k: int) -> np.ndarray:
+    """The (count, k) array whose row i is exp(2j*pi*default_rng([seed, i]).random(k)).
+
+    Equal bit for bit: SeedSequence's pool mixing runs on uint32 arrays over
+    all i at once, then PCG64 is seeded and stepped on Python ints.  Raises
+    InvalidParameter for a negative seed.
+    """
+    if int(seed) < 0:
+        raise InvalidParameter(f"seed must be non-negative, got {seed}")
+    words = [int(seed) >> s & 0xFFFFFFFF for s in range(0, max(int(seed).bit_length(), 1), 32)]
+    entropy = np.zeros((max(len(words) + 1, 4), count), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(count)
+    pool, used = _hashmix(entropy[:4], 0), 4
+    for src in range(len(entropy)):  # each pool word into the others, then entropy past 4
+        dst = [j for j in range(4) if j != src]
+        word = np.tile(pool[src] if src < 4 else entropy[src], (len(dst), 1))
+        v = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * _hashmix(word, used)
+        pool[dst], used = v ^ v >> np.uint32(16), used + len(dst)
+    w = _hashmix(pool[[0, 1, 2, 3] * 2], 0, _HASH_B, _MULT_B).astype(np.uint64)
+    q = (w[1::2] << np.uint64(32) | w[::2]).astype(object)
+    init, inc = q[0] << 64 | q[1], q[2] << 65 | q[3] << 1 | 1
+    state = (inc + init) * _PCG_MULT + inc & _M128
+    out = np.empty((count, k), dtype=object)
+    for j in range(k):
+        state = state * _PCG_MULT + inc & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        out[:, j] = (x >> rot | x << 64 - rot) & _M64
+    return np.exp(2j * np.pi * ((out >> 11).astype(float) * 2.0**-53))
+
+
 def as_stack(M) -> np.ndarray:
     """Copy input to a stack (..., m, m) of square complex matrices.
 

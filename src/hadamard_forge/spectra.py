@@ -379,6 +379,7 @@ def _cell_width(values, tol: float) -> float:
     return 2.0 * (m * tol + 4.0 * m * np.finfo(float).eps * scale)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def distinct_spectra(spectra, tol: float) -> list:
     """Representatives of `spectra` under first-match classification.
 
@@ -389,25 +390,40 @@ def distinct_spectra(spectra, tol: float) -> list:
     equals comparing with every representative.  When the width is not a
     positive finite number, or a sum is not finite, all spectra share one
     cell and every representative is compared.
+
+    A numpy step first tests each spectrum against the first one of each of
+    its 3x3 cells: sorted values within tol position by position match, as
+    in-order pairing is a bijection; a pass against a representative decides.
     """
     spectra = list(spectra)
     # zeros pad shorter spectra, changing no row's sum or sum of moduli
-    m = max(map(len, spectra), default=0)
+    lengths = np.array([len(s.values) for s in spectra], dtype=int)
+    m = lengths.max(initial=0)
     values = np.array([s.values if len(s) == m else np.pad(s.values, (0, m - len(s)))
                        for s in spectra], dtype=complex).reshape(len(spectra), m)
     width = _cell_width(values, tol)
     sums = values.sum(axis=-1)
     if not (0.0 < width < math.inf and np.isfinite(sums).all()):
         width, sums = math.inf, np.zeros(len(spectra), dtype=complex)
-    cells = {}
-    reps = []
-    for s, i, j in zip(spectra, map(math.floor, (sums.real / width).tolist()),
-                       map(math.floor, (sums.imag / width).tolist())):
-        if not any(multiset_match(s.values, r.values, tol)
-                   for di in (-1, 0, 1) for dj in (-1, 0, 1)
-                   for r in cells.get((i + di, j + dj), ())):
-            cells.setdefault((i, j), []).append(s)
+    # cell (i, j) as i + j*1j, exact as |sum| / width < 2**50, sorts by i, then j
+    cell = np.floor(sums.real / width) + 1j * np.floor(sums.imag / width)
+    around = cell[:, None] + np.array([complex(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
+    occupied, first = np.unique(cell, return_index=True)
+    at = np.searchsorted(occupied, around).clip(max=len(occupied) - 1)
+    # pairs of a spectrum b and the first spectrum a of one of its 3x3 cells
+    b, j = np.nonzero(occupied[at] == around)
+    a = first[at[b, j]]
+    # tol less a few ulps, as numpy's and Python's abs may round apart; inf - inf fails
+    twin = (np.abs(values[a] - values[b]) <= tol * (1 - 8 * np.finfo(float).eps)).all(axis=-1)
+    twin &= (a < b) & (lengths[a] == lengths[b])
+    leader = dict(zip(b[twin].tolist(), a[twin].tolist()))
+    cells, reps, filed = {}, [], set()
+    for n, (s, cs) in enumerate(zip(spectra, around.tolist())):
+        if leader.get(n) not in filed and not any(multiset_match(s.values, r.values, tol)
+                                                  for c in cs for r in cells.get(c, ())):
+            cells.setdefault(cs[4], []).append(s)
             reps.append(s)
+            filed.add(n)
     return reps
 
 

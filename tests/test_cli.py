@@ -486,6 +486,18 @@ class TestHugeEntries:
         assert code == EXIT_CONSTRAINT
         assert err == "error: spectral equivalence needs normal matrices\n"
 
+    def test_spectrum_near_the_float_limit(self, tmp_path, capsys):
+        # printing sorts by value / tau_spec, which overflows these to inf
+        path = tmp_path / "m.csv"
+        path.write_text("1e308,1e308\n1e308,-1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "spectrum", str(path), "--reduce")
+        assert (code, err) == (EXIT_OK, "")
+        values = parse_printed(out.splitlines()[:2])
+        assert np.allclose(values, [-1e308, 1e308], rtol=1e-12, atol=0)
+        assert out.splitlines()[2:] == ["reduced: not reciprocal"]
+
 
 class TestSolve:
     def test_order6_f_at_unit_point(self, capsys):
@@ -755,6 +767,20 @@ class TestFlagPlacement:
         path = write_matrix(tmp_path / "m.json", d6() * (1 + 5e-7))
         code, _, _ = run(capsys, "verify", path, "--tol-entry", "1e-4")
         assert code == EXIT_OK
+
+
+class TestNegativeSeed:
+    # numpy's seed sequences take non-negative integers only
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "6", "--samples", "3", "--seed", "-1"],
+        ["--seed", "-1", "sweep", "6", "--samples", "3"],
+        ["solve", "8", "--unknown", "f,g,h", "--values", "0,1/2pi,1pi,-1/2pi,0.3",
+         "--seed", "-3"],
+    ])
+    def test_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "argument --seed: must be non-negative" in err
 
 
 class TestParserReuse:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hadamard_forge import (
@@ -22,7 +22,7 @@ from hadamard_forge import (
     search_equivalence_certificate,
     unimodularity_deviation,
 )
-from hadamard_forge.core import as_matrix, as_stack
+from hadamard_forge.core import as_matrix, as_stack, torus_draws
 from conftest import random_phases
 
 
@@ -337,3 +337,29 @@ class TestParamVector:
 
         with pytest.raises(InvalidParameter):
             ParamVector("M4", (0.0, 1.0))
+
+
+def default_rng_rows(seed, count, k):
+    """The rows torus_draws stands for: one Generator per row."""
+    rows = [np.exp(2j * np.pi * np.random.default_rng([seed, i]).random(k))
+            for i in range(count)]
+    return np.array(rows, dtype=complex).reshape(count, k)
+
+
+class TestTorusDraws:
+    # seeds up to 2**130 have one to five 32-bit words; from four words on,
+    # i is mixed into the pool after it is full
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**130), count=st.integers(0, 40), k=st.integers(1, 7))
+    @example(seed=0, count=3, k=4)
+    @example(seed=2**32 - 1, count=3, k=4)
+    @example(seed=2**32, count=3, k=4)
+    @example(seed=2**96, count=3, k=4)
+    def test_rows_equal_default_rng_bit_for_bit(self, seed, count, k):
+        got = torus_draws(seed, count, k)
+        assert got.shape == (count, k)
+        assert np.array_equal(got.view(np.uint64), default_rng_rows(seed, count, k).view(np.uint64))
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(InvalidParameter, match="non-negative"):
+            torus_draws(-1, 3, 4)

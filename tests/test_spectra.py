@@ -470,8 +470,28 @@ class TestDistinctSpectra:
         monkeypatch.setattr(spectra_module, "multiset_match", counted)
         reps = distinct_spectra(spectra, 1e-8)
         assert (len(spectra), len(reps)) == (480, 240)
-        # the exhaustive scan makes about 44,600 comparisons here
+        # the exhaustive scan makes about 44,600 comparisons here, the cell
+        # window at most one per spectrum; every twin passes the in-order test
         assert len(calls) <= len(spectra)
+        assert len(calls) == 0
+
+    def test_matching_spectra_sorted_apart_go_to_the_matcher(self, monkeypatch):
+        # real parts within tol: lexsort puts a's upper value first, b's lower
+        a = SpectrumMultiset([1.0 + 0.5j, 1.0 + 3e-9 - 0.5j])
+        b = SpectrumMultiset([1.0 + 3e-9 + 0.5j, 1.0 - 0.5j])
+        c = SpectrumMultiset(a.values + 2e-9)
+        assert not np.all(np.abs(a.values - b.values) <= 1e-8)
+        calls = []
+
+        def counted(u, v, tol):
+            calls.append(1)
+            return multiset_match(u, v, tol)
+
+        monkeypatch.setattr(spectra_module, "multiset_match", counted)
+        reps = distinct_spectra([a, b, c], 1e-8)
+        # b needs the matcher; c passes the in-order test against a
+        assert len(calls) == 1
+        assert reps == first_match_scan([a, b, c], 1e-8) == [a]
 
 
 class TestSpectrumAndEquivalence:
