@@ -199,8 +199,8 @@ def cmd_gen(args) -> int:
     branches = list(args.branch or [])
     if family not in families.FAMILY_BUILDERS:
         raise CliError(f"unknown family {args.family!r}", EXIT_USAGE)
-    if args.root is not None and family not in ("bf", "bf-dephased"):
-        raise CliError("--root applies to bf and bf-dephased only", EXIT_USAGE)
+    if args.root is not None and (family not in ("bf", "bf-dephased") or params):
+        raise CliError("--root applies to bf and bf-dephased only, without --params", EXIT_USAGE)
     if branches and family not in ("m6", "m6s", "m8"):
         raise CliError("--branch applies to m6, m6s and m8 only", EXIT_USAGE)
     meta = {"family": family, "params": [format_complex(p) for p in params]}
@@ -516,7 +516,7 @@ def _add_shared_options(parser, suppress=False):
     parser.add_argument("--tol-entry", type=float, default=d,
                         help=f"entrywise residual bound (env {ENV_TOL}, default 1e-10)")
     parser.add_argument("--tol-root", type=float, default=d,
-                        help="polynomial root residual bound (default 1e-9)")
+                        help="polynomial root residual and backward-error bound (default 1e-9)")
     parser.add_argument("--tol-spec", type=float, default=d,
                         help="spectrum matching bound (default 1e-8)")
     parser.add_argument("--format", choices=("json", "csv"), default=d,

@@ -49,7 +49,7 @@ class NotNormal(HadamardForgeError, ValueError):
 
 
 class RootFindingFailure(HadamardForgeError, ArithmeticError):
-    """Polynomial root iteration did not reach the required residual."""
+    """Polynomial roots miss their residual or backward-error bound, or a coefficient is NaN/inf."""
 
 
 @dataclass(frozen=True)

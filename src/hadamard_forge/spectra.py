@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
+from numpy.polynomial.polynomial import polyder, polyroots, polyval
 
 from .core import (
     DEFAULT_TOL,
@@ -56,36 +56,6 @@ def _coeff_scale(coeffs, x):
     c = np.abs(np.asarray(coeffs))
     xx = max(1.0, abs(x))
     return float(np.sum(c * xx ** np.arange(len(c))))
-
-
-def _aberth(coeffs, max_iter=200, tol=1e-14):
-    """Simultaneous Aberth-Ehrlich iteration for all roots at once."""
-    c = np.asarray(coeffs, dtype=complex)
-    n = len(c) - 1
-    dc = polyder(c)
-    radius = 1.0 + np.max(np.abs(c[:-1] / c[-1]))
-    angles = 2 * np.pi * (np.arange(n) + 0.376) / n + 0.5
-    z = 0.8 * radius * np.exp(1j * angles)
-    best, best_res, stall = z.copy(), np.inf, 0
-    for _ in range(max_iter):
-        pv = polyval(z, c)
-        dv = polyval(z, dc)
-        dv = np.where(dv == 0, 1e-300, dv)
-        ratio = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
-        w = ratio / (1.0 - ratio * s)
-        z = z - w
-        res = float(np.max(np.abs(polyval(z, c))))
-        if res < best_res:
-            stall = 0 if res < 0.5 * best_res else stall + 1
-            best_res, best = res, z.copy()
-        else:
-            stall += 1
-        if np.max(np.abs(w)) < tol * max(1.0, np.max(np.abs(z))) or stall > 12:
-            break
-    return best
 
 
 def _newton(coeffs, x0, iters=60):
@@ -156,20 +126,19 @@ def _merge_clusters(coeffs, roots):
 def poly_roots(coeffs, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """All complex roots of a polynomial, multiple roots repeated.
 
-    Aberth-Ehrlich simultaneous iteration, then a Newton polish per root,
-    then cluster refinement: a clump of m nearly equal roots is replaced by
-    the nearby simple root of the (m-1)-th derivative when the backward
-    error confirms a genuine m-fold root.  Raises RootFindingFailure for
-    non-finite coefficients and when |p(root)| <= tau_root * scale fails.
+    Companion-matrix eigenvalues (numpy's polyroots, backward stable), then
+    cluster refinement: a clump of m nearly equal roots is replaced by the
+    nearby simple root of the (m-1)-th derivative when the backward error
+    confirms a genuine m-fold root.  Raises RootFindingFailure for
+    non-finite coefficients, a root with |p(root)| > tau_root * scale, or a
+    multiset with max|c[-1] * prod(x - root) - c| > tau_root * max|c|.
     """
     if not np.isfinite(coeffs).all():
         raise RootFindingFailure("polynomial coefficients must be finite")
     c = trim(coeffs)
     if len(c) < 2:
         raise InvalidDimensions("root finding needs degree >= 1")
-    raw = _aberth(c)
-    polished = np.array([_newton(c, z) for z in raw])
-    roots = _merge_clusters(c, polished)
+    roots = _merge_clusters(c, polyroots(c))
     worst = max(
         abs(complex(polyval(r, c))) / _coeff_scale(c, r) for r in roots
     )
@@ -177,6 +146,10 @@ def poly_roots(coeffs, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         raise RootFindingFailure(
             f"root residual {worst:.3e} exceeds tau_root={tol.tau_root:.1e}"
         )
+    backward = np.max(np.abs(np.poly(roots)[::-1] * c[-1] - c)) / np.max(np.abs(c))
+    if not backward <= tol.tau_root:
+        raise RootFindingFailure(f"root backward error {backward:.3e} exceeds "
+                                 f"tau_root={tol.tau_root:.1e}")
     return roots
 
 

@@ -281,6 +281,7 @@ class TestGen:
         ["gen", "d6", "--root", "1"],
         ["gen", "h4a", "--params", "0", "--root", "2"],
         ["gen", "m6", "--params", "0,0,0,0,0,0", "--root", "1"],
+        ["gen", "bf", "--root", "1", "--params", "0.5"],
     ])
     def test_gen_option_the_family_does_not_take_is_usage_error(self, argv, capsys):
         code, out, err = run(capsys, *argv)

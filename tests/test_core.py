@@ -14,8 +14,10 @@ from hadamard_forge import (
     d61,
     dephase,
     entrywise_inv_transpose,
+    h4,
     is_hadamard,
     m6,
+    m6_from_branches,
     negacirculant2,
     orthogonality_residual,
     permutation_matrix,
@@ -275,6 +277,17 @@ class TestSelfAdjointness:
         assert unimodularity_deviation(d61()) == 0.0
 
 
+def m6_hit(rng):
+    """The first Hadamard branch point of m6 at torus draws of (b, c, d, e)."""
+    while True:
+        b, c, d, e = random_phases(rng, 4)
+        for a_branch in "+-":
+            for f_branch in "+-":
+                M = m6_from_branches(b, c, d, e, a_branch, f_branch)[0]
+                if is_hadamard(M):
+                    return M
+
+
 class TestEquivalenceCertificate:
     def test_identity_certificate(self):
         H = d6()
@@ -319,6 +332,22 @@ class TestEquivalenceCertificate:
         # h4a(1) and h4a(i) have different dephased cores, no certificate
         cert = search_equivalence_certificate(h4a(1.0), h4a(1j))
         assert cert is None
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.sampled_from([4, 6]), data=st.data())
+    def test_random_certificate_checks_and_is_found(self, seed, order, data):
+        # H1 = D1 H[p1][:, p2] D2 for a random h4 point or m6 hit H
+        rng = np.random.default_rng(seed)
+        H = h4(*random_phases(rng, 3)) if order == 4 else m6_hit(rng)
+        D1, D2 = random_phases(rng, order), random_phases(rng, order)
+        p1 = data.draw(st.permutations(range(order)))
+        p2 = data.draw(st.permutations(range(order)))
+        H1 = D1[:, None] * H[p1][:, p2] * D2
+        assert check_equivalence_certificate(H1, H, D1, D2, p1, p2)
+        cert = search_equivalence_certificate(H1, H)
+        assert cert is not None
+        E1, q1, q2, E2 = cert
+        assert check_equivalence_certificate(H1, H, E1, E2, q1, q2)
 
     def test_permutation_matrix_rejects_bad_input(self):
         with pytest.raises(InvalidParameter):
