@@ -153,8 +153,9 @@ def c4_branches(unknown: str, **given) -> list[SolutionBranch]:
 # ------------------------------------------------- cyclic-ratio constraints
 
 # per block size k, row i holds the positions of x_{j+s}, cyclic within a
-# block, for the shift s = k - 1 - i of constraint i + 1; the Newton search
-# evaluates the kernel thousands of times, so the tables are built once
+# block, for the shift s = k - 1 - i of constraint i + 1; the order-8 search
+# evaluates the constraints up to three times per Newton iteration, so the
+# tables are built once
 _AHEAD = {
     k: np.array([[j - j % k + (j + s) % k for j in range(2 * k)]
                  for s in range(k - 1, 0, -1)])
@@ -184,8 +185,20 @@ def _cyclic_ratio_residuals_and_jacobian(x):
     return prod * ratio_sums, jac
 
 
+@np.errstate(divide="ignore", invalid="ignore")
+def _cyclic_ratio_residuals(x):
+    """The values of `_cyclic_ratio_residuals_and_jacobian` alone, bit for bit.
+
+    The same expressions, without the Jacobian: the line search needs only
+    the values at its probes.
+    """
+    x = np.asarray(x, dtype=complex)
+    ahead = x[..., _AHEAD[x.shape[-1] // 2]]
+    return x.prod(axis=-1)[..., None] * (x[..., None, :] / ahead).sum(axis=-1)
+
+
 def _residuals(**params) -> ConstraintResidual:
-    values, _ = _cyclic_ratio_residuals_and_jacobian(_stack_nonzero(**params))
+    values = _cyclic_ratio_residuals(_stack_nonzero(**params))
     return ConstraintResidual(len(params), tuple(complex(v) for v in values))
 
 
@@ -363,13 +376,20 @@ def c8_numeric_solve(
     reproducible and independent of scheduling; a negative seed raises
     InvalidParameter.
     All restarts step together as one batch, each with the exact Jacobian
-    of the cyclic-ratio form and a least-squares Newton step damped by
-    lambda = 1, 1/2, ... > 1e-4.  A restart whose line search finds no
-    lambda that lowers its residual has stalled and stops, counted as no
-    convergence, as does one that leaves 1e-10 <= |x| <= 1e8.  Solutions
-    converging onto a zero coordinate parametrise degenerate matrices and
-    are discarded.  An empty solution list with a positive no_convergence
-    count is the infeasibility diagnostic, not an error.
+    of the cyclic-ratio form and a least-squares Newton step damped by the
+    first lambda of 1, 1/2, ... > 1e-4 that lowers its residual and keeps
+    every coordinate above 1e-8 in modulus.  The line search computes
+    residuals only, in two stacked calls per iteration: lambda = 1 for
+    every restart, then all the smaller rungs at once for the restarts
+    that lambda = 1 does not fit; the first fitting rung is the one a
+    search trying the rungs in turn would take.  A restart that no rung
+    fits has stalled and stops, counted as no convergence, as does one
+    that leaves 1e-10 <= |x| <= 1e8.  Solutions converging onto a zero
+    coordinate parametrise degenerate matrices and are discarded.  The
+    others are isolated roots, generically off the torus: their matrices
+    are inverse orthogonal but not Hadamard.  An empty solution list with a
+    positive no_convergence count is the infeasibility diagnostic, not an
+    error.  A negative `restarts` or `max_iter` raises InvalidParameter.
     """
     if not set(fixed) <= set(PARAM_NAMES_8):
         raise InvalidParameter(f"fixed keys must be among {PARAM_NAMES_8!r}")
@@ -380,22 +400,28 @@ def c8_numeric_solve(
     for name, v in fixed_vals.items():
         if abs(abs(v) - 1.0) > tol.tau_entry:
             raise InvalidParameter(f"fixed parameter {name!r} must lie on the torus")
+    if restarts < 0 or max_iter < 0:
+        raise InvalidParameter(
+            f"restarts and max_iter must be non-negative, got {restarts} and {max_iter}")
     free = [i for i, n in enumerate(PARAM_NAMES_8) if n not in fixed_vals]
     point = np.array([fixed_vals.get(n, 1.0) for n in PARAM_NAMES_8])
 
-    def evaluate(x):
-        full = np.tile(point, (len(x), 1))
-        full[:, free] = x
-        r, jac = _cyclic_ratio_residuals_and_jacobian(full)
-        return r, jac[..., free]
+    def full(x):
+        out = np.empty(x.shape[:-1] + (8,), dtype=complex)
+        out[...] = point
+        out[..., free] = x
+        return out
 
+    # the damping rungs 1, 1/2, ..., 2**-13, the powers of two above 1e-4
+    ladder = 0.5 ** np.arange(14)
     x = torus_draws(seed, restarts, len(free))
     ok = np.zeros(restarts, dtype=bool)
     active = np.arange(restarts)
     for _ in range(max_iter):
         if not active.size:
             break
-        r, jac = evaluate(x[active])
+        r, jac = _cyclic_ratio_residuals_and_jacobian(full(x[active]))
+        jac = jac[..., free]
         size = np.abs(r).max(axis=1)
         # each constraint is the cyclic ratio sum times the product of all
         # eight parameters, so convergence is judged against that product
@@ -407,18 +433,20 @@ def c8_numeric_solve(
         # lstsq's default cutoff: three equations, rcond = 3 * eps
         pinv = np.linalg.pinv(jac, rcond=3 * np.finfo(float).eps)
         delta = np.einsum("rkj,rj->rk", pinv, -r)
-        step = np.zeros(active.size)
-        pending = np.arange(active.size)
-        lam = 1.0
-        while lam > 1e-4 and pending.size:
-            cand = x[active[pending]] + lam * delta[pending]
-            lower = np.abs(evaluate(cand)[0]).max(axis=1) < size[pending]
-            lower &= np.abs(cand).min(axis=1) > 1e-8
-            step[pending[lower]] = lam
-            pending = pending[~lower]
-            lam /= 2.0
-        moved = step > 0
-        active, step, delta = active[moved], step[moved], delta[moved]
+        # a rung fits when its probe keeps clear of zero and lowers the
+        # residual; the zero check comes first, so a restart whose lambda = 1
+        # probe nears zero falls through to the smaller rungs, probed together;
+        # argmax takes each restart's first fitting rung
+        cand = x[active] + ladder[:, None, None] * delta
+        fits = np.abs(cand).min(axis=-1) > 1e-8
+        fits[0] &= np.abs(_cyclic_ratio_residuals(full(cand[0]))).max(axis=-1) < size
+        short = ~fits[0]
+        if short.any():
+            probes = _cyclic_ratio_residuals(full(cand[1:, short]))
+            fits[1:, short] &= np.abs(probes).max(axis=-1) < size[short]
+        moved = fits.any(axis=0)
+        step = ladder[fits.argmax(axis=0)[moved]]
+        active, delta = active[moved], delta[moved]
         x[active] += step[:, None] * delta
         mag = np.abs(x[active])
         active = active[(mag.max(axis=1) <= 1e8) & (mag.min(axis=1) >= 1e-10)]

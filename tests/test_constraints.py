@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hadamard_forge import (
+    DEFAULT_TOL,
     DegenerateQuadratic,
     InvalidParameter,
+    NumericSolveReport,
+    ParamVector,
     SingularBranch,
     c4_branches,
     c4_residual,
@@ -27,10 +30,12 @@ from hadamard_forge import (
     orthogonality_residual,
 )
 from hadamard_forge.constraints import (
+    _cyclic_ratio_residuals,
     _cyclic_ratio_residuals_and_jacobian,
     _quadratic_in_last,
     _reduced_coefficients,
 )
+from hadamard_forge.core import torus_draws
 from conftest import random_phases
 
 SQ2 = np.sqrt(2.0)
@@ -592,7 +597,107 @@ class TestCyclicRatioForm:
             assert abs(reduced(*p) - want) <= 1e-12 * abs(want)
 
 
+def sequential_search(fixed, seed, restarts):
+    """The order-8 search with a line search that probes one rung at a time.
+
+    The reference for c8_numeric_solve: each restart tries lambda = 1, 1/2,
+    ... > 1e-4 in turn and steps by the first that keeps clear of zero and
+    lowers its residual.
+    """
+    free = [i for i, n in enumerate("abcdefgh") if n not in fixed]
+    point = np.array([complex(fixed.get(n, 1.0)) for n in "abcdefgh"])
+
+    def evaluate(x):
+        full = np.tile(point, (len(x), 1))
+        full[:, free] = x
+        r, jac = _cyclic_ratio_residuals_and_jacobian(full)
+        return r, jac[..., free]
+
+    x = torus_draws(seed, restarts, len(free))
+    ok = np.zeros(restarts, dtype=bool)
+    active = np.arange(restarts)
+    for _ in range(200):
+        if not active.size:
+            break
+        r, jac = evaluate(x[active])
+        size = np.abs(r).max(axis=1)
+        done = size < DEFAULT_TOL.tau_entry * (8.0 * np.prod(np.abs(x[active]), axis=1) + 1e-300)
+        ok[active[done]] = True
+        keep = ~done & np.isfinite(jac).all(axis=(1, 2))
+        active, r, jac, size = active[keep], r[keep], jac[keep], size[keep]
+        delta = np.einsum("rkj,rj->rk", np.linalg.pinv(jac, rcond=3 * np.finfo(float).eps), -r)
+        step = np.zeros(active.size)
+        pending = np.arange(active.size)
+        lam = 1.0
+        while lam > 1e-4 and pending.size:
+            cand = x[active[pending]] + lam * delta[pending]
+            lower = np.abs(evaluate(cand)[0]).max(axis=1) < size[pending]
+            lower &= np.abs(cand).min(axis=1) > 1e-8
+            step[pending[lower]] = lam
+            pending = pending[~lower]
+            lam /= 2.0
+        moved = step > 0
+        active, step, delta = active[moved], step[moved], delta[moved]
+        x[active] += step[:, None] * delta
+        mag = np.abs(x[active])
+        active = active[(mag.max(axis=1) <= 1e8) & (mag.min(axis=1) >= 1e-10)]
+    degenerate = ok & (np.abs(x).min(axis=1) < 1e-3)
+    solutions = []
+    for k in np.flatnonzero(ok & ~degenerate):
+        full = point.copy()
+        full[free] = x[k]
+        if not any(np.max(np.abs(full - s.values)) < 1e-7 for s in solutions):
+            solutions.append(ParamVector("M8", full))
+    converged = int(ok.sum() - degenerate.sum())
+    return NumericSolveReport(tuple(solutions), restarts, converged, int(degenerate.sum()),
+                              restarts - int(ok.sum()))
+
+
+def _random_fixings(count):
+    rng = np.random.default_rng(8)
+    for i in range(count):
+        names = [str(n) for n in rng.choice(list("abcdefgh"), 5 + i % 3, replace=False)]
+        yield dict(zip(names, random_phases(rng, len(names)))), int(rng.integers(2**31)), 16
+
+
+SOLVE8_FIXING = dict(zip("abcde", np.exp(1j * np.array([0, np.pi / 2, np.pi, -np.pi / 2, 0.3]))))
+
+
 class TestOrder8Numeric:
+    @pytest.mark.parametrize(
+        "fixed, seed, restarts",
+        [(SOLVE8_FIXING, seed, 64) for seed in (1, 2, 3)]
+        + list(_random_fixings(9))
+        + [(SOLVE8_FIXING, seed, 1) for seed in range(4)],
+    )
+    def test_trajectories_match_the_sequential_line_search(self, monkeypatch, fixed, seed,
+                                                             restarts):
+        # every Jacobian stack handed to pinv, in order, pins the whole path
+        # of every restart, not only where it ends
+        pinv = np.linalg.pinv
+        stacks = []
+
+        def recording(jac, **kwargs):
+            stacks.append(jac.copy())
+            return pinv(jac, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", recording)
+        report = c8_numeric_solve(fixed, seed=seed, restarts=restarts)
+        ours = stacks.copy()
+        stacks.clear()
+        assert report == sequential_search(fixed, seed, restarts)
+        assert len(ours) == len(stacks)
+        for got, want in zip(ours, stacks):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_residuals_alone_equal_the_kernel_values(self, rng):
+        x = random_phases(rng, 8 * 5).reshape(5, 8) * np.exp(rng.normal(size=(5, 8)))
+        x[0, 3] = 0.0
+        for order in (6, 8):
+            got = _cyclic_ratio_residuals(x[..., :order])
+            want = _cyclic_ratio_residuals_and_jacobian(x[..., :order])[0]
+            assert got.tobytes() == want.tobytes()
+
     def test_real_collapse_point_finds_orthogonal_solutions(self):
         report = c8_numeric_solve(
             dict(zip("abcde", [1.0] * 5)), seed=5, restarts=12
@@ -678,6 +783,14 @@ class TestOrder8Numeric:
     def test_rejects_off_torus_fixing(self):
         with pytest.raises(InvalidParameter):
             c8_numeric_solve(dict(zip("abcde", [2.0, 1, 1, 1, 1])))
+
+    @pytest.mark.parametrize("option", [{"restarts": -1}, {"max_iter": -1}])
+    def test_rejects_negative_counts(self, option):
+        with pytest.raises(InvalidParameter):
+            c8_numeric_solve(SOLVE8_FIXING, **option)
+
+    def test_zero_restarts_give_an_empty_report(self):
+        assert c8_numeric_solve(SOLVE8_FIXING, restarts=0) == NumericSolveReport((), 0, 0, 0, 0)
 
 
 class TestBranchSoundnessSweep:
