@@ -360,6 +360,29 @@ class NumericSolveReport:
         return bool(self.solutions)
 
 
+def _newton_steps(jac, r):
+    """Newton steps -J^+ r for a stack of Jacobians and their residuals.
+
+    A square Jacobian is solved by LU; an LU that meets an exactly singular
+    member fails the whole stack, which is then solved member by member so
+    that no restart's step depends on the others.  The overdetermined
+    fixings, and a singular member alone, take the least-squares step of the
+    pseudo-inverse.
+    """
+    if jac.shape[-1] == jac.shape[-2]:
+        try:
+            # b as a stack of columns: numpy 2 broadcasts a stacked 1-d b
+            # differently from numpy 1
+            return np.linalg.solve(jac, -r[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            if len(jac) > 1:
+                return np.concatenate([_newton_steps(j[None], v[None])
+                                       for j, v in zip(jac, r)])
+    # lstsq's default cutoff: three equations, rcond = 3 * eps
+    pinv = np.linalg.pinv(jac, rcond=3 * np.finfo(float).eps)
+    return np.einsum("rkj,rj->rk", pinv, -r)
+
+
 def c8_numeric_solve(
     fixed: dict,
     seed: int = 0,
@@ -376,13 +399,16 @@ def c8_numeric_solve(
     reproducible and independent of scheduling; a negative seed raises
     InvalidParameter.
     All restarts step together as one batch, each with the exact Jacobian
-    of the cyclic-ratio form and a least-squares Newton step damped by the
-    first lambda of 1, 1/2, ... > 1e-4 that lowers its residual and keeps
-    every coordinate above 1e-8 in modulus.  The line search computes
-    residuals only, in two stacked calls per iteration: lambda = 1 for
-    every restart, then all the smaller rungs at once for the restarts
-    that lambda = 1 does not fit; the first fitting rung is the one a
-    search trying the rungs in turn would take.  A restart that no rung
+    of the cyclic-ratio form and a Newton step damped by the first lambda
+    of 1, 1/2, ... > 1e-4 that lowers its residual and keeps every
+    coordinate above 1e-8 in modulus.  With three free parameters the
+    step comes from one batched LU solve; with fewer, and for an exactly
+    singular Jacobian, it is the least-squares step of the pseudo-inverse
+    (see _newton_steps).  The line search computes residuals only, in
+    two stacked calls per iteration: lambda = 1 for every restart, then
+    all the smaller rungs at once for the restarts that lambda = 1 does
+    not fit; the first fitting rung is the one a search trying the rungs
+    in turn would take.  A restart that no rung
     fits has stalled and stops, counted as no convergence, as does one
     that leaves 1e-10 <= |x| <= 1e8.  Solutions converging onto a zero
     coordinate parametrise degenerate matrices and are discarded.  The
@@ -430,9 +456,7 @@ def c8_numeric_solve(
         ok[active[done]] = True
         keep = ~done & np.isfinite(jac).all(axis=(1, 2))
         active, r, jac, size = active[keep], r[keep], jac[keep], size[keep]
-        # lstsq's default cutoff: three equations, rcond = 3 * eps
-        pinv = np.linalg.pinv(jac, rcond=3 * np.finfo(float).eps)
-        delta = np.einsum("rkj,rj->rk", pinv, -r)
+        delta = _newton_steps(jac, r)
         # a rung fits when its probe keeps clear of zero and lowers the
         # residual; the zero check comes first, so a restart whose lambda = 1
         # probe nears zero falls through to the smaller rungs, probed together;

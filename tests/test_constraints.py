@@ -29,6 +29,7 @@ from hadamard_forge import (
     m8,
     orthogonality_residual,
 )
+import hadamard_forge.constraints as constraints
 from hadamard_forge.constraints import (
     _cyclic_ratio_residuals,
     _cyclic_ratio_residuals_and_jacobian,
@@ -625,7 +626,9 @@ def sequential_search(fixed, seed, restarts):
         ok[active[done]] = True
         keep = ~done & np.isfinite(jac).all(axis=(1, 2))
         active, r, jac, size = active[keep], r[keep], jac[keep], size[keep]
-        delta = np.einsum("rkj,rj->rk", np.linalg.pinv(jac, rcond=3 * np.finfo(float).eps), -r)
+        # looked up at call time, so a test that records the helper's inputs
+        # sees both searches
+        delta = constraints._newton_steps(jac, r)
         step = np.zeros(active.size)
         pending = np.arange(active.size)
         lam = 1.0
@@ -672,16 +675,16 @@ class TestOrder8Numeric:
     )
     def test_trajectories_match_the_sequential_line_search(self, monkeypatch, fixed, seed,
                                                              restarts):
-        # every Jacobian stack handed to pinv, in order, pins the whole path
-        # of every restart, not only where it ends
-        pinv = np.linalg.pinv
+        # every Jacobian stack handed to the Newton step, in order, pins the
+        # whole path of every restart, not only where it ends
+        newton_steps = constraints._newton_steps
         stacks = []
 
-        def recording(jac, **kwargs):
+        def recording(jac, r):
             stacks.append(jac.copy())
-            return pinv(jac, **kwargs)
+            return newton_steps(jac, r)
 
-        monkeypatch.setattr(np.linalg, "pinv", recording)
+        monkeypatch.setattr(constraints, "_newton_steps", recording)
         report = c8_numeric_solve(fixed, seed=seed, restarts=restarts)
         ours = stacks.copy()
         stacks.clear()
@@ -689,6 +692,43 @@ class TestOrder8Numeric:
         assert len(ours) == len(stacks)
         for got, want in zip(ours, stacks):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("unknowns", [3, 2, 1])
+    def test_newton_steps_agree_with_the_pseudo_inverse(self, rng, unknowns):
+        # well conditioned: a near-identity block plus a small perturbation
+        jac = (np.eye(3, unknowns) + 0.1 * rng.normal(size=(50, 3, unknowns))
+               + 0.1j * rng.normal(size=(50, 3, unknowns)))
+        assert np.linalg.cond(jac).max() < 10
+        r = rng.normal(size=(50, 3)) + 1j * rng.normal(size=(50, 3))
+        want = np.einsum("rkj,rj->rk", np.linalg.pinv(jac), -r)
+        got = constraints._newton_steps(jac, r)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=1, keepdims=True))
+
+    def test_square_newton_step_is_the_same_alone_or_in_a_stack(self, rng):
+        jac = rng.normal(size=(40, 3, 3)) + 1j * rng.normal(size=(40, 3, 3))
+        r = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+        stacked = constraints._newton_steps(jac, r)
+        for k in (0, 17, 39):
+            alone = constraints._newton_steps(jac[k:k + 1], r[k:k + 1])
+            assert alone.tobytes() == stacked[k:k + 1].tobytes()
+
+    def test_singular_jacobian_in_a_stack_does_not_raise(self, rng):
+        jac = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+        r = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        jac[2, :, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(jac, -r[..., None])
+        steps = constraints._newton_steps(jac, r)
+        assert np.isfinite(steps).all()
+        # the other members keep their LU steps, the singular one its
+        # least-squares step
+        for k in range(5):
+            if k != 2:
+                alone = constraints._newton_steps(jac[k:k + 1], r[k:k + 1])
+                assert alone.tobytes() == steps[k:k + 1].tobytes()
+        pinv = np.linalg.pinv(jac[2], rcond=3 * np.finfo(float).eps)
+        assert np.allclose(steps[2], pinv @ -r[2], rtol=1e-12, atol=0)
 
     def test_residuals_alone_equal_the_kernel_values(self, rng):
         x = random_phases(rng, 8 * 5).reshape(5, 8) * np.exp(rng.normal(size=(5, 8)))
@@ -742,16 +782,22 @@ class TestOrder8Numeric:
             == report.restarts
         )
 
-    def test_pinned_answers_on_the_solve8_fixing(self):
+    @pytest.mark.parametrize("seed, counts", [
+        (1, (64, 19, 0, 45, len(SOLVE8_SEED1_FGH))),
+        (2, (64, 27, 0, 37, 7)),
+        (3, (64, 21, 0, 43, 7)),
+    ])
+    def test_pinned_answers_on_the_solve8_fixing(self, seed, counts):
+        # a restart that moves into another basin changes these counts
         fixed = dict(zip("abcde", [1, 1j, -1, -1j, np.exp(0.3j)]))
-        report = c8_numeric_solve(fixed, seed=1)
-        counts = (report.restarts, report.converged,
-                  report.rejected_degenerate, report.no_convergence)
-        assert counts == (64, 19, 0, 45)
-        assert len(report.solutions) == len(SOLVE8_SEED1_FGH)
-        for vec, fgh in zip(report.solutions, SOLVE8_SEED1_FGH):
-            assert np.max(np.abs(np.subtract(vec.values[5:], fgh))) < 1e-7
+        report = c8_numeric_solve(fixed, seed=seed)
+        assert counts == (report.restarts, report.converged, report.rejected_degenerate,
+                          report.no_convergence, len(report.solutions))
+        for vec in report.solutions:
             assert orthogonality_residual(m8(*vec.values)) < 1e-8
+        if seed == 1:
+            for vec, fgh in zip(report.solutions, SOLVE8_SEED1_FGH, strict=True):
+                assert np.max(np.abs(np.subtract(vec.values[5:], fgh))) < 1e-7
 
     @settings(max_examples=20, deadline=None)
     @given(
