@@ -28,7 +28,6 @@ from .core import (
     dephase,
     entrywise_inv_transpose,
     is_hadamard,
-    negacirculant2,
     orthogonality_residual,
     permutation_matrix,
     search_equivalence_certificate,

@@ -453,16 +453,16 @@ def _sweep_matrices(order, seed, samples):
     """Every matrix a sweep samples, in sample order, as one (N, m, m) stack.
 
     Sample i draws its torus phases from default_rng([seed, i]), all samples
-    at once in core.torus_draws.  Order 4 takes h4 and h44, order 8 one d8a.
-    Order 6 takes the four (a±, f±) points of the family, solved for all
-    samples in one pass; a singular a-quadratic, or an a or f that is zero
-    or not finite, gives no matrix.
+    at once in core.torus_draws.  Order 4 takes h4 and h44, order 8 one d8a,
+    each one call for all samples.  Order 6 takes the four (a±, f±) points
+    of the family, solved for all samples in one pass; a singular
+    a-quadratic, or an a or f that is zero or not finite, gives no matrix.
     """
     draws = core.torus_draws(seed, samples, _SWEEP_PHASES[order])
     if order == 4:
-        return np.array([f(*p) for p in draws for f in (families.h4, families.h44)])
+        return np.stack([families.h4(*draws.T), families.h44(*draws.T)], axis=1).reshape(-1, 4, 4)
     if order == 8:
-        return np.array([families.d8a(*p) for p in draws])
+        return families.d8a(*draws.T)
     b, c, d, e = draws.T
     points = list(families.m6_branch_points(b, c, d, e))
     a, f = (np.stack([p[j] for p in points], axis=-1).ravel() for j in (2, 3))

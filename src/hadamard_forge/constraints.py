@@ -127,20 +127,23 @@ def c4_residual(a, b, c, d) -> complex:
 _C4_PAIRS = {"+": ("ac", "bd"), "-": ("ad", "bc")}
 
 
+# numpy flags the complex division of a NaN sample as invalid
+@np.errstate(invalid="ignore")
 def c4_branches(unknown: str, **given) -> list[SolutionBranch]:
     """Both closed-form branches for one unknown of the order-4 constraint.
 
     On branch "+" (a*c = b*d) the unknown is the product of the other pair
     over its partner, on branch "-" (a*d = -b*c) minus that; e.g. solving
-    for a gives a = b*d/c and a = -b*c/d.
+    for a gives a = b*d/c and a = -b*c/d.  Parameter arrays give value
+    arrays, NaN where a scalar call would raise.
     """
     if unknown not in PARAM_NAMES_4:
         raise InvalidParameter(f"unknown must be one of {PARAM_NAMES_4!r}")
     names = [n for n in PARAM_NAMES_4 if n != unknown]
     if sorted(given) != names:
         raise InvalidParameter(f"expected values for {names}, got {sorted(given)}")
-    _stack_nonzero(**given)
-    g = {k: complex(v) for k, v in given.items()}
+    x = _stack_nonzero(**given)
+    g = dict(zip(given, x.tolist() if x.ndim == 1 else np.moveaxis(x, -1, 0)))
     branches = []
     for label, pairs in _C4_PAIRS.items():
         own, other = pairs if unknown in pairs[0] else pairs[::-1]
@@ -152,17 +155,20 @@ def c4_branches(unknown: str, **given) -> list[SolutionBranch]:
 
 # ------------------------------------------------- cyclic-ratio constraints
 
-# per block size k, row i holds the positions of x_{j+s}, cyclic within a
-# block, for the shift s = k - 1 - i of constraint i + 1; the order-8 search
-# evaluates the constraints up to three times per Newton iteration, so the
-# tables are built once
-_AHEAD = {
-    k: np.array([[j - j % k + (j + s) % k for j in range(2 * k)]
-                 for s in range(k - 1, 0, -1)])
-    for k in (3, 4)
-}
-# per count n of parameters before the last, row t lists the positions j != t
-_OTHERS = {n: np.array([[j for j in range(n) if j != t] for t in range(n)]) for n in (5, 7)}
+@functools.cache
+def _index_tables(k):
+    """Index tables of the cyclic-ratio form for blocks of k parameters.
+
+    Row i of `ahead` holds the positions of x_{j+s}, cyclic within a
+    block, for the shift s = k - 1 - i of constraint i + 1; row t of
+    `others` lists the positions j != t among the 2k - 1 parameters before
+    the last.  The order-8 search evaluates the constraints up to three
+    times per Newton iteration, so each k's tables are built once.
+    """
+    ahead = np.array([[j - j % k + (j + s) % k for j in range(2 * k)]
+                      for s in range(k - 1, 0, -1)])
+    others = np.array([[j for j in range(2 * k - 1) if j != t] for t in range(2 * k - 1)])
+    return ahead, others
 
 
 # the search's line search may probe a point with a zero coordinate
@@ -177,7 +183,7 @@ def _cyclic_ratio_residuals_and_jacobian(x):
     """
     x = np.asarray(x, dtype=complex)
     at = x[..., None, :]
-    ahead = x[..., _AHEAD[x.shape[-1] // 2]]
+    ahead = x[..., _index_tables(x.shape[-1] // 2)[0]]
     behind = ahead[..., ::-1, :]  # x_{j-s} is x_{j+k-s}, the row of shift k - s
     ratio_sums = (at / ahead).sum(axis=-1)
     prod = x.prod(axis=-1)[..., None]
@@ -193,7 +199,7 @@ def _cyclic_ratio_residuals(x):
     the values at its probes.
     """
     x = np.asarray(x, dtype=complex)
-    ahead = x[..., _AHEAD[x.shape[-1] // 2]]
+    ahead = x[..., _index_tables(x.shape[-1] // 2)[0]]
     return x.prod(axis=-1)[..., None] * (x[..., None, :] / ahead).sum(axis=-1)
 
 
@@ -212,11 +218,12 @@ def _quadratic_in_last(x, s):
     """
     x = np.asarray(x, dtype=complex)
     k = (x.shape[-1] + 1) // 2
-    ahead = _AHEAD[k][k - 1 - s].tolist()
+    ahead, others = _index_tables(k)
+    ahead = ahead[k - 1 - s].tolist()
     behind = ahead.index(2 * k - 1)  # x_{u-s} is the x_j with x_{j+s} = u
     # P'/x_t, formed without division as the product of the other parameters,
     # one factor at a time: numpy reduces a stack of one in another order
-    without = functools.reduce(np.multiply, np.moveaxis(x[..., _OTHERS[2 * k - 1]], -1, 0))
+    without = functools.reduce(np.multiply, np.moveaxis(x[..., others], -1, 0))
     free = sum(x[..., j] * without[..., t] for j, t in enumerate(ahead[:-1]) if j != behind)
     return without[..., ahead[-1]], free, x.prod(axis=-1) * x[..., behind]
 

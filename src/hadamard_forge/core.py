@@ -161,11 +161,13 @@ def _per_matrix(values):
     return float(values) if values.ndim == 0 else values
 
 
-def circulant(first_row) -> np.ndarray:
+def circulant(first_row, negacyclic=False) -> np.ndarray:
     """Circulant matrix whose row i is `first_row` right-shifted i times.
 
-    circulant([a, b, c]) has rows (a, b, c), (c, a, b), (b, c, a).  A stack
-    of first rows (..., k) gives the stack of circulants (..., k, k).
+    circulant([a, b, c]) has rows (a, b, c), (c, a, b), (b, c, a).  The
+    negacyclic form negates the entries that wrap round, below the diagonal:
+    circulant([a, b], True) is [[a, b], [-b, a]].  A stack of first rows
+    (..., k) gives the stack of blocks (..., k, k).
     """
     row = np.asarray(first_row, dtype=complex)
     if row.ndim < 1 or row.shape[-1] < 1:
@@ -173,36 +175,44 @@ def circulant(first_row) -> np.ndarray:
     if np.any(row == 0) or not np.all(np.isfinite(row)):
         raise InvalidParameter("circulant entries must be finite and nonzero")
     k = row.shape[-1]
-    idx = (np.arange(k)[None, :] - np.arange(k)[:, None]) % k
-    return row.take(idx, axis=-1)
+    shift = np.arange(k)[None, :] - np.arange(k)[:, None]
+    C = row.take(shift % k, axis=-1)
+    if negacyclic:
+        # negation: a complex multiply by -1 gives +0.0 where negation gives -0.0
+        C[..., shift < 0] = -C[..., shift < 0]
+    return C
 
 
-def negacirculant2(a, b) -> np.ndarray:
-    """The 2x2 negacyclic block [[a, b], [-b, a]]."""
-    a, b = complex(a), complex(b)
-    if a == 0 or b == 0:
-        raise InvalidParameter("negacirculant entries must be nonzero")
-    return np.array([[a, b], [-b, a]], dtype=complex)
-
-
+# a subnormal entry's reciprocal overflows; callers reject or report the
+# non-finite result
+@np.errstate(over="ignore", invalid="ignore")
 def _inv_transpose(A: np.ndarray) -> np.ndarray:
     return (1.0 / A).swapaxes(-1, -2).copy()
+
+
+def _finite_inv_transpose(A: np.ndarray) -> np.ndarray:
+    R = _inv_transpose(A)
+    if not np.all(np.isfinite(R)):
+        raise InvalidParameter("entries must have finite reciprocals")
+    return R
 
 
 def entrywise_inv_transpose(M) -> np.ndarray:
     """Entrywise reciprocal of the transpose: result[i, j] = 1 / M[j, i].
 
-    Accepts a stack (..., m, m) and transposes each matrix.
+    Accepts a stack (..., m, m) and transposes each matrix.  A zero entry,
+    or one whose reciprocal is not finite, raises InvalidParameter.
     """
     A = as_stack(M)
     _require_nonzero(A)
-    return _inv_transpose(A)
+    return _finite_inv_transpose(A)
 
 
 def assemble_sylvester(A, B) -> np.ndarray:
     """Stack blocks [[A, B], [1/B^t, -1/A^t]] into a 2n x 2n matrix.
 
-    Stacks of blocks (..., n, n) give the stack (..., 2n, 2n).
+    Stacks of blocks (..., n, n) give the stack (..., 2n, 2n).  A zero
+    entry, or one whose reciprocal is not finite, raises InvalidParameter.
     """
     A = as_stack(A)
     B = as_stack(B)
@@ -214,11 +224,13 @@ def assemble_sylvester(A, B) -> np.ndarray:
     M = np.empty(A.shape[:-2] + (2 * n, 2 * n), dtype=complex)
     M[..., :n, :n] = A
     M[..., :n, n:] = B
-    M[..., n:, :n] = _inv_transpose(B)
-    M[..., n:, n:] = -_inv_transpose(A)
+    M[..., n:, :n] = _finite_inv_transpose(B)
+    M[..., n:, n:] = -_finite_inv_transpose(A)
     return M
 
 
+# an overflowed reciprocal makes the residual inf or NaN, never finite
+@np.errstate(over="ignore", invalid="ignore")
 def _orthogonality_residual(A: np.ndarray) -> np.ndarray:
     m = A.shape[-1]
     R = A @ _inv_transpose(A)

@@ -22,7 +22,6 @@ from .core import (
     circulant,
     dephase,
     is_hadamard,
-    negacirculant2,
 )
 from .constraints import c4_branches, c6_solve_f, c6_solve_quadratic, c8_solve_h
 from .spectra import SpectrumMultiset
@@ -31,11 +30,19 @@ _I = 1j
 _SQ2 = np.sqrt(2.0)
 
 
+def _block_form(params, negacyclic=False) -> np.ndarray:
+    """Block form of the two (nega)circulant blocks whose first rows halve `params`."""
+    rows = np.stack(np.broadcast_arrays(*params), axis=-1)
+    k = rows.shape[-1] // 2
+    return assemble_sylvester(circulant(rows[..., :k], negacyclic),
+                              circulant(rows[..., k:], negacyclic))
+
+
 # ----------------------------------------------------------------- order 4
 
 def m4(a, b, c, d) -> np.ndarray:
-    """Raw order-4 block form from negacyclic blocks (a, b) and (c, d)."""
-    return assemble_sylvester(negacirculant2(a, b), negacirculant2(c, d))
+    """Raw order-4 block form from negacyclic blocks (a, b) and (c, d); arrays stack as in m6."""
+    return _block_form((a, b, c, d), negacyclic=True)
 
 
 def _m4_branch(unknown, branch, **given) -> np.ndarray:
@@ -157,8 +164,7 @@ def m6(a, b, c, d, e, f) -> np.ndarray:
 
     Parameter arrays of one shape (...) give the stack (..., 6, 6).
     """
-    return assemble_sylvester(circulant(np.stack([a, b, c], axis=-1)),
-                              circulant(np.stack([d, e, f], axis=-1)))
+    return _block_form((a, b, c, d, e, f))
 
 
 def m6_standard(a, b, c, d, e, f) -> np.ndarray:
@@ -245,8 +251,7 @@ def m8(a, b, c, d, e, f, g, h) -> np.ndarray:
 
     Parameter arrays of one shape (...) give the stack (..., 8, 8).
     """
-    return assemble_sylvester(circulant(np.stack([a, b, c, d], axis=-1)),
-                              circulant(np.stack([e, f, g, h], axis=-1)))
+    return _block_form((a, b, c, d, e, f, g, h))
 
 
 def m8_from_h_branch(a, b, c, d, e, f, g, h_branch="+"):
@@ -262,15 +267,16 @@ def double(A, B, diag=None, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
     D is a diagonal of phases (defaults to the identity).  The output is
     Hadamard of twice the order whenever the inputs are Hadamard, so the
-    construction iterates to orders 2^k * n.
+    construction iterates to orders 2^k * n.  Stacks (..., m, m) give the
+    stack of doublings; every member must be Hadamard.
     """
     A = np.array(A, dtype=complex)
     B = np.array(B, dtype=complex)
     if A.shape != B.shape:
         raise InvalidDimensions("doubling needs equal-order blocks")
-    if not is_hadamard(A, tol) or not is_hadamard(B, tol):
+    if not np.all(is_hadamard(A, tol)) or not np.all(is_hadamard(B, tol)):
         raise InvalidParameter("doubling inputs must be Hadamard matrices")
-    n = A.shape[0]
+    n = A.shape[-1]
     if diag is None:
         DB = B
     else:
@@ -287,13 +293,9 @@ def d8a(b, c, d, f, g, h) -> np.ndarray:
     """Six-phase order-8 family: doubling of two order-4 family members.
 
     The left block is h4(b, c, d); the right block is the order-4 variant
-    with first row (f, g, h, f*h/g).
+    with first row (f, g, h, f*h/g).  Parameter arrays give a stack.
     """
-    f, g, h = complex(f), complex(g), complex(h)
-    if 0 in (f, g, h):
-        raise InvalidParameter("d8a parameters must be nonzero")
-    right = m4(f, g, h, f * h / g)
-    return double(h4(b, c, d), right)
+    return double(h4(b, c, d), _m4_branch("d", "+", a=f, b=g, c=h))
 
 
 def d81() -> np.ndarray:

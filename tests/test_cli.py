@@ -224,6 +224,12 @@ class TestGen:
         assert code == EXIT_CONSTRAINT
         assert "construction failed" in err
 
+    def test_gen_d8a_zero_parameter_is_construction_failure(self, capsys):
+        # the zero g must be caught before the right block divides by it
+        code, out, err = run(capsys, "gen", "d8a", "--params", "0,0,0,0,0i,0")
+        assert (code, out) == (EXIT_CONSTRAINT, "")
+        assert "construction failed" in err
+
     def test_gen_m8_unknown_branch_label_is_construction_failure(self, capsys):
         code, _, err = run(
             capsys, "gen", "m8", "--params", "0,0,0,0,0,0,0", "--branch", "hx"
@@ -500,6 +506,24 @@ class TestHugeEntries:
         assert out.splitlines()[2:] == ["reduced: not reciprocal"]
 
 
+class TestSubnormalParameters:
+    # the reciprocal of a subnormal parameter overflows; the suite turns any
+    # RuntimeWarning from that into an error
+
+    def test_m4_is_a_construction_failure(self, capsys):
+        code, out, err = run(capsys, "gen", "m4", "--params", "1e-320+0i,1,1,1")
+        assert (code, out) == (EXIT_CONSTRAINT, "")
+        assert err == "error: construction failed: entries must have finite reciprocals\n"
+
+    def test_h4a_residual_is_not_finite(self, capsys):
+        code, out, err = run(capsys, "gen", "h4a", "--params", "1e-320+0i")
+        assert code == EXIT_CONSTRAINT
+        assert err.startswith("constraint failure: result is not Hadamard")
+        _, meta = parse_matrix(out)
+        assert meta["hadamard"] == "false"
+        assert not np.isfinite(float(meta["residual"]))
+
+
 class TestSolve:
     def test_order6_f_at_unit_point(self, capsys):
         code, out, _ = run(
@@ -603,6 +627,41 @@ class TestSweep:
             calls.clear()
             assert run(capsys, "sweep", "6", "--samples", str(samples))[0] == EXIT_OK
             assert calls == ["c6_solve_quadratic", "c6_solve_f"]
+
+    @pytest.mark.parametrize("order, builders", [(4, ["h4", "h44"]), (8, ["d8a"])])
+    def test_orders_4_and_8_build_all_samples_in_one_call(self, capsys, monkeypatch,
+                                                           order, builders):
+        from hadamard_forge import families
+
+        calls = []
+
+        def counted(name):
+            build = getattr(families, name)
+            return lambda *args, **kwargs: calls.append(name) or build(*args, **kwargs)
+
+        for name in builders:
+            monkeypatch.setattr(families, name, counted(name))
+        for samples in (1, 60):
+            calls.clear()
+            assert run(capsys, "sweep", str(order), "--samples", str(samples))[0] == EXIT_OK
+            assert calls == builders
+
+    @pytest.mark.parametrize("order", [4, 8])
+    def test_orders_4_and_8_stacks_match_the_per_sample_builders(self, order):
+        # numpy's array products round differently from Python's complex
+        # ones, so the stacks agree to the last bit or so, not exactly
+        from hadamard_forge import d8a, h4, h44
+        from hadamard_forge.cli import _sweep_matrices
+        from hadamard_forge.core import torus_draws
+
+        draws = torus_draws(7, 50, 3 if order == 4 else 6)
+        if order == 4:
+            want = np.array([f(*p) for p in draws for f in (h4, h44)])
+        else:
+            want = np.array([d8a(*p) for p in draws])
+        got = _sweep_matrices(order, 7, 50)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15
 
     @pytest.mark.parametrize("order, eigvals_calls", [(4, 1), (6, 0), (8, 1)])
     def test_only_order6_spectra_skip_eigvals(self, capsys, monkeypatch, order, eigvals_calls):

@@ -254,6 +254,19 @@ class TestOrder4:
         with pytest.raises(InvalidParameter):
             c4_branches("a", b=0, c=1, d=1)
 
+    def test_parameter_arrays_solve_every_sample(self, rng):
+        for unknown in "abcd":
+            names = [n for n in "abcd" if n != unknown]
+            given = dict(zip(names, random_phases(rng, 3 * 6).reshape(3, 6)))
+            given[names[1]][2] = 0
+            for br in c4_branches(unknown, **given):
+                assert np.isnan(br.value[2])
+                for k in (0, 1, 3, 4, 5):
+                    (alone,) = (a.value for a in c4_branches(
+                        unknown, **{n: v[k] for n, v in given.items()})
+                        if a.branch_label == br.branch_label)
+                    assert abs(br.value[k] - alone) <= 1e-15
+
 
 class TestOrder6Residuals:
     def test_all_ones(self):
@@ -596,6 +609,50 @@ class TestCyclicRatioForm:
         for p in off_torus_points(rng, order - 1):
             want = expanded(*p)
             assert abs(reduced(*p) - want) <= 1e-12 * abs(want)
+
+
+def cyclic_ratio_by_definition(x, k):
+    """P*S_s for s = k - 1, ..., 1 as a sum over both blocks, one term at a
+    time, and each value's scale, the sum of the terms' moduli times |P|."""
+    values, scales = [], []
+    for s in range(k - 1, 0, -1):
+        terms = [x[block + j] / x[block + (j + s) % k] for block in (0, k) for j in range(k)]
+        values.append(np.prod(x) * sum(terms))
+        scales.append(abs(np.prod(x)) * sum(map(abs, terms)))
+    return np.array(values), np.array(scales)
+
+
+@pytest.mark.parametrize("k", [2, 5, 6])
+class TestCyclicRatioKernelBlockSizes:
+    """The kernels for block sizes no family uses, against the definition."""
+
+    def test_residuals_match_the_definition(self, rng, k):
+        x = off_torus_points(rng, 2 * k, count=20)
+        values, jac = _cyclic_ratio_residuals_and_jacobian(x)
+        assert values.shape == (20, k - 1) and jac.shape == (20, k - 1, 2 * k)
+        assert _cyclic_ratio_residuals(x).tobytes() == values.tobytes()
+        for point, got in zip(x, values):
+            want, scale = cyclic_ratio_by_definition(point, k)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    def test_exact_jacobian_matches_central_differences(self, rng, k):
+        x = random_phases(rng, 2 * k) * np.exp(0.5 * rng.normal(size=(6, 2 * k)))
+        _, jac = _cyclic_ratio_residuals_and_jacobian(x)
+        for j, step in itertools.product(range(2 * k), (1e-6, 1e-6j)):
+            dx = np.zeros(2 * k, dtype=complex)
+            dx[j] = step
+            ahead, _ = _cyclic_ratio_residuals_and_jacobian(x + dx)
+            behind, _ = _cyclic_ratio_residuals_and_jacobian(x - dx)
+            central = (ahead - behind) / (2 * step)
+            assert np.allclose(jac[..., j], central, rtol=1e-7, atol=1e-9)
+
+    def test_last_parameter_quadratic_matches_the_definition(self, rng, k):
+        for point in off_torus_points(rng, 2 * k, count=20):
+            want, scale = cyclic_ratio_by_definition(point, k)
+            u = point[-1]
+            for i, s in enumerate(range(k - 1, 0, -1)):
+                lead, lin, const = _quadratic_in_last(point[:-1], s)
+                assert abs(lead * u * u + lin * u + const - want[i]) <= 1e-13 * scale[i]
 
 
 def sequential_search(fixed, seed, restarts):

@@ -18,7 +18,6 @@ from hadamard_forge import (
     is_hadamard,
     m6,
     m6_from_branches,
-    negacirculant2,
     orthogonality_residual,
     permutation_matrix,
     search_equivalence_certificate,
@@ -63,11 +62,29 @@ class TestCirculant:
 
 class TestNegacirculant:
     def test_layout(self):
-        assert np.array_equal(negacirculant2(1, 1), [[1, 1], [-1, 1]])
+        assert np.array_equal(circulant([1, 1], True), [[1, 1], [-1, 1]])
 
     def test_zero_rejected(self):
         with pytest.raises(InvalidParameter):
-            negacirculant2(1, 0)
+            circulant([1, 0], True)
+
+    def test_wrapped_entries_negated_exactly(self):
+        # negation flips the sign of every zero part, as -b does on a complex
+        a, b = complex(2.0, -0.0), complex(0.0, 3.0)
+        got = circulant([a, b], True)
+        want = np.array([[a, b], [-b, a]])
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got[1, 0].real) and not np.signbit(got[0, 1].real)
+        a, b, c = 1.0 + 0j, 2.0 + 0j, 3.0 - 0j
+        want = np.array([[a, b, c], [-c, a, b], [-b, -c, a]])
+        assert circulant([a, b, c], True).tobytes() == want.tobytes()
+
+    def test_stack_of_first_rows(self, rng):
+        rows = random_phases(rng, 5 * 3).reshape(5, 3)
+        stack = circulant(rows, True)
+        assert stack.shape == (5, 3, 3)
+        for row, block in zip(rows, stack):
+            assert block.tobytes() == circulant(row, True).tobytes()
 
 
 class TestEntrywiseInvTranspose:
@@ -89,6 +106,13 @@ class TestEntrywiseInvTranspose:
     def test_zero_entry_rejected(self):
         with pytest.raises(InvalidParameter):
             entrywise_inv_transpose(np.eye(2))
+
+    def test_subnormal_entry_rejected(self):
+        # its reciprocal overflows; the suite makes the overflow warning an error
+        with pytest.raises(InvalidParameter):
+            entrywise_inv_transpose([[1.0, 1e-320 + 0j], [1.0, 1.0]])
+        with pytest.raises(InvalidParameter):
+            assemble_sylvester([[1.0]], [[1e-320]])
 
 
 class TestAssembleSylvester:

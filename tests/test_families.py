@@ -173,6 +173,18 @@ class TestH4a:
 
 
 class TestH4Variants:
+    @pytest.mark.parametrize("family", [m4, *H4_FORMULAS], ids=lambda f: f.__name__)
+    def test_parameter_arrays_give_the_stack_of_samples(self, rng, family):
+        n = family.__code__.co_argcount
+        p = random_phases(rng, n * 20).reshape(n, 20) * np.exp(rng.normal(size=(n, 20)))
+        stack = family(*p)
+        assert stack.shape == (20, 4, 4)
+        for k in range(20):
+            alone = family(*p[:, k])
+            if family is m4:  # no arithmetic before the blocks
+                assert stack[k].tobytes() == alone.tobytes()
+            assert np.abs(stack[k] - alone).max() <= 1e-15 * np.abs(alone).max()
+
     @pytest.mark.parametrize("family", list(H4_FORMULAS), ids=lambda f: f.__name__)
     def test_bit_exact_against_explicit_formulas(self, rng, family):
         formula = H4_FORMULAS[family]
@@ -572,6 +584,18 @@ class TestDoubling:
             values = spectrum(X).values
             assert multiset_match(lift_roots(reduced_roots(values)), values, 1e-8)
 
+    def test_stacked_double_is_the_per_pair_double(self, rng):
+        A = h4(*random_phases(rng, 3 * 5).reshape(3, 5))
+        B = h44(*random_phases(rng, 3 * 5).reshape(3, 5))
+        for diag in (None, random_phases(rng, 4)):
+            stacked = double(A, B, diag)
+            assert stacked.shape == (5, 8, 8)
+            for k in range(5):
+                assert stacked[k].tobytes() == double(A[k], B[k], diag).tobytes()
+        B[2, 0, 0] *= 1.5
+        with pytest.raises(InvalidParameter):
+            double(A, B)
+
     def test_order16_from_doubled_octics(self, rng):
         A = d8a(*random_phases(rng, 6))
         B = d8a(*random_phases(rng, 6))
@@ -585,6 +609,19 @@ class TestD8aAndD81:
         for _ in range(5):
             b, c, d, f, g, h = random_phases(rng, 6)
             assert is_hadamard(d8a(b, c, d, f, g, h))
+
+    def test_parameter_arrays_give_the_stack_of_samples(self, rng):
+        p = random_phases(rng, 6 * 7).reshape(6, 7)
+        stack = d8a(*p)
+        assert stack.shape == (7, 8, 8)
+        for k in range(7):
+            assert np.abs(stack[k] - d8a(*p[:, k])).max() <= 1e-15
+
+    def test_array_sample_with_a_zero_parameter_is_rejected(self, rng):
+        p = random_phases(rng, 6 * 4).reshape(6, 4)
+        p[4, 1] = 0
+        with pytest.raises(InvalidParameter):
+            d8a(*p)
 
     def test_d81_matches_d8a_at_landmark_point(self):
         M = d8a(1.0, 1j, -1j, np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4), -1.0)
