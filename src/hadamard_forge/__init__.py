@@ -34,7 +34,6 @@ from .core import (
     unimodularity_deviation,
 )
 from .spectra import (
-    SpectrumMultiset,
     char_poly,
     circulant_block_spectrum,
     distinct_spectra,
@@ -47,7 +46,6 @@ from .spectra import (
     unitary_equivalent,
 )
 from .constraints import (
-    ConstraintResidual,
     NumericSolveReport,
     SolutionBranch,
     c4_branches,

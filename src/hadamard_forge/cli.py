@@ -287,7 +287,7 @@ def cmd_verify(args) -> int:
 def cmd_spectrum(args) -> int:
     tol = _tolerances(args)
     M, _ = parse_matrix(_read_file(args.file))
-    values = spectra.spectrum(M).values
+    values = spectra.spectrum(M)
     for z in _sorted_for_print(values, tol.tau_spec):
         print(format_complex(z))
     if args.reduce:
@@ -319,7 +319,7 @@ def cmd_equiv(args) -> int:
 
 def _print_spectrum(tag, M, tol):
     shown = " ".join(format_complex(z)
-                     for z in _sorted_for_print(spectra.spectrum(M).values, tol.tau_spec))
+                     for z in _sorted_for_print(spectra.spectrum(M), tol.tau_spec))
     print(f"{tag}: {shown}")
 
 
@@ -360,7 +360,7 @@ def _print_closed_branches(solve, residuals, build, values, tol):
         raise CliError(f"unknown {unknown} needs values for {names}", EXIT_USAGE)
     for br in solve(*values):
         params = [*values, br.value]
-        shown = ", ".join(f"{abs(v):.3e}" for v in residuals(*params).values)
+        shown = ", ".join(f"{abs(v):.3e}" for v in residuals(*params))
         print(f"branch {unknown}{br.branch_label}: value={format_complex(br.value)} "
               f"{_torus_tag(br.value, tol)} constraints=({shown})")
         _print_branch_matrix("matrix", build(*params), tol)

@@ -46,32 +46,11 @@ PARAM_NAMES_8 = "abcdefgh"
 
 
 @dataclass(frozen=True)
-class ConstraintResidual:
-    """Values of the orthogonality constraint polynomials at one point."""
-
-    order: int
-    values: tuple
-
-    def __post_init__(self):
-        expected = {4: 1, 6: 2, 8: 3}.get(self.order)
-        if expected is None or len(self.values) != expected:
-            raise InvalidParameter(
-                f"order {self.order} carries {expected} constraint(s), "
-                f"got {len(self.values)}"
-            )
-
-    def max_abs(self) -> float:
-        return float(max(abs(v) for v in self.values))
-
-
-@dataclass(frozen=True)
 class SolutionBranch:
     """One closed-form or numeric root of a constraint, labelled by sheet."""
 
-    solved_param: str
     branch_label: str
     value: complex
-    discriminant: complex = 0j
 
 
 def _stack_nonzero(**params):
@@ -104,14 +83,13 @@ def _quadratic_branches(name, lead, lin, const, shape):
     """
     if shape == () and lead.item() == 0:
         raise DegenerateQuadratic(f"quadratic in {name!r} has vanishing leading coefficient")
-    disc = lin * lin - 4.0 * lead * const
-    root = np.sqrt(disc)
+    root = np.sqrt(lin * lin - 4.0 * lead * const)
     plus = abs(-lin + root) >= abs(-lin - root)
     big = -lin + np.where(plus, root, -root)
     direct, other = big / (2.0 * lead), 2.0 * const / big
-    disc, first, second = (v.reshape(shape)[()] for v in (
-        disc, np.where(plus, direct, other), np.where(plus, other, direct)))
-    return SolutionBranch(name, "+", first, disc), SolutionBranch(name, "-", second, disc)
+    first, second = (v.reshape(shape)[()] for v in (
+        np.where(plus, direct, other), np.where(plus, other, direct)))
+    return SolutionBranch("+", first), SolutionBranch("-", second)
 
 
 # ----------------------------------------------------------------- order 4
@@ -149,7 +127,7 @@ def c4_branches(unknown: str, **given) -> list[SolutionBranch]:
         own, other = pairs if unknown in pairs[0] else pairs[::-1]
         p, q = (g[n] for n in other)
         value = (-p if label == "-" else p) * q / g[own.replace(unknown, "")]
-        branches.append(SolutionBranch(unknown, label, value))
+        branches.append(SolutionBranch(label, value))
     return branches
 
 
@@ -203,11 +181,6 @@ def _cyclic_ratio_residuals(x):
     return x.prod(axis=-1)[..., None] * (x[..., None, :] / ahead).sum(axis=-1)
 
 
-def _residuals(**params) -> ConstraintResidual:
-    values = _cyclic_ratio_residuals(_stack_nonzero(**params))
-    return ConstraintResidual(len(params), tuple(complex(v) for v in values))
-
-
 def _quadratic_in_last(x, s):
     """Coefficients (lead, lin, const) of P*S_s as a quadratic in u.
 
@@ -244,9 +217,9 @@ def _reduced_residual(x):
 
 # ----------------------------------------------------------------- order 6
 
-def c6_residuals(a, b, c, d, e, f) -> ConstraintResidual:
+def c6_residuals(a, b, c, d, e, f) -> np.ndarray:
     """The two order-6 constraint polynomial values, P*S_2 and P*S_1."""
-    return _residuals(a=a, b=b, c=c, d=d, e=e, f=f)
+    return _cyclic_ratio_residuals(_stack_nonzero(a=a, b=b, c=c, d=d, e=e, f=f))
 
 
 def c6_solve_f(a, b, c, d, e):
@@ -314,7 +287,7 @@ def c6_solve_cubic(unknown: str, tol: ToleranceConfig = DEFAULT_TOL, **given):
         raise DegenerateCubic(f"cubic in {unknown!r} has a vanishing leading term")
     roots = poly_roots(coeffs, tol)
     return [
-        SolutionBranch(unknown, str(i + 1), complex(r))
+        SolutionBranch(str(i + 1), complex(r))
         for i, r in enumerate(sorted(roots, key=lambda z: (z.real, z.imag)))
     ]
 
@@ -331,9 +304,9 @@ def hu_residual(b, c, d, e) -> complex:
 
 # ----------------------------------------------------------------- order 8
 
-def c8_residuals(a, b, c, d, e, f, g, h) -> ConstraintResidual:
+def c8_residuals(a, b, c, d, e, f, g, h) -> np.ndarray:
     """The three order-8 constraint polynomial values, P*S_3, P*S_2, P*S_1."""
-    return _residuals(a=a, b=b, c=c, d=d, e=e, f=f, g=g, h=h)
+    return _cyclic_ratio_residuals(_stack_nonzero(a=a, b=b, c=c, d=d, e=e, f=f, g=g, h=h))
 
 
 def c8_solve_h(a, b, c, d, e, f, g):

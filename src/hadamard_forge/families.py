@@ -23,8 +23,7 @@ from .core import (
     dephase,
     is_hadamard,
 )
-from .constraints import c4_branches, c6_solve_f, c6_solve_quadratic, c8_solve_h
-from .spectra import SpectrumMultiset
+from .constraints import _stack_nonzero, c4_branches, c6_solve_f, c6_solve_quadratic, c8_solve_h
 
 _I = 1j
 _SQ2 = np.sqrt(2.0)
@@ -68,13 +67,11 @@ def h4a(q) -> np.ndarray:
     )
 
 
-def h4a_spectrum_closed(q) -> SpectrumMultiset:
-    """Closed-form spectrum of h4a(q)/2: {-1, 1, -(1+q±sqrt(1-14q+q²))/4}."""
+def h4a_spectrum_closed(q) -> np.ndarray:
+    """Closed-form spectrum of h4a(q)/2, unsorted: -1, 1, -(1+q±sqrt(1-14q+q²))/4."""
     q = complex(q)
     root = np.sqrt(1.0 - 14.0 * q + q * q + 0j)
-    return SpectrumMultiset(
-        [-1.0, 1.0, -(1.0 + q + root) / 4.0, -(1.0 + q - root) / 4.0]
-    )
+    return np.array([-1.0, 1.0, -(1.0 + q + root) / 4.0, -(1.0 + q - root) / 4.0])
 
 
 def h42(a, b) -> np.ndarray:
@@ -295,6 +292,8 @@ def d8a(b, c, d, f, g, h) -> np.ndarray:
     The left block is h4(b, c, d); the right block is the order-4 variant
     with first row (f, g, h, f*h/g).  Parameter arrays give a stack.
     """
+    # a zero scalar is named here, before the blocks' solvers rename it
+    _stack_nonzero(b=b, c=c, d=d, f=f, g=g, h=h)
     return double(h4(b, c, d), _m4_branch("d", "+", a=f, b=g, c=h))
 
 

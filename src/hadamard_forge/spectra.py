@@ -1,9 +1,11 @@
 """Characteristic polynomials, root finding and spectrum comparison.
 
 Polynomials are plain 1-d complex arrays in ascending degree order, so
-``p[k]`` is the coefficient of ``x**k``.  Spectra are always taken of the
-scaled matrix M/sqrt(m), whose eigenvalues lie on the unit circle whenever
-M is Hadamard of order m.
+``p[k]`` is the coefficient of ``x**k``.  Spectra are plain complex arrays
+too, one row (..., m) per matrix, sorted by real part and then imaginary
+part, and are compared as multisets within a tolerance by multiset_match.
+They are always taken of the scaled matrix M/sqrt(m), whose eigenvalues
+lie on the unit circle whenever M is Hadamard of order m.
 
 A spectrum is reciprocal here when its values pair as (x, -1/x), with i
 and -i (their own partners) each of even multiplicity: exactly then its
@@ -267,54 +269,19 @@ def _lexsorted(vals):
     return np.take_along_axis(vals, np.lexsort((vals.imag, vals.real)), axis=-1)
 
 
-class SpectrumMultiset:
-    """Multiset of eigenvalues with tolerance-based equality."""
+def spectrum(M) -> np.ndarray:
+    """Eigenvalues of M/sqrt(m), sorted by real part, ties by imaginary part.
 
-    def __init__(self, values):
-        self.values = _lexsorted(np.asarray(values, dtype=complex).ravel())
-
-    @classmethod
-    def _of_sorted(cls, values):
-        """The multiset of `values`, already in _lexsorted order."""
-        s = cls.__new__(cls)
-        s.values = values
-        return s
-
-    def __len__(self):
-        return len(self.values)
-
-    def __repr__(self):
-        inner = ", ".join(f"{v:.6g}" for v in self.values)
-        return f"SpectrumMultiset([{inner}])"
-
-    def matches(self, other, tol: float = DEFAULT_TOL.tau_spec) -> bool:
-        other_vals = other.values if isinstance(other, SpectrumMultiset) else other
-        return multiset_match(self.values, other_vals, tol)
-
-    def max_unimodularity_deviation(self) -> float:
-        return float(np.max(np.abs(np.abs(self.values) - 1.0)))
-
-
-def spectrum(M):
-    """Eigenvalues of M/sqrt(m) as a tolerance-aware multiset.
-
-    A stack (N, m, m) is diagonalised and sorted in one call each and
-    gives the list of its N multisets.
+    A stack (..., m, m) is diagonalised and sorted in one call each and
+    gives the spectra as rows, shape (..., m).
     """
     A = as_stack(M)
     m = A.shape[-1]
     A /= np.sqrt(m)
-    return _multisets(np.linalg.eigvals(A))
+    return _lexsorted(np.linalg.eigvals(A))
 
 
-def _multisets(ev):
-    """The multiset of 1-d eigenvalues, or the list of one per matrix of a stack."""
-    if ev.ndim == 1:
-        return SpectrumMultiset(ev)
-    return [SpectrumMultiset._of_sorted(v) for v in _lexsorted(ev.reshape(-1, ev.shape[-1]))]
-
-
-def circulant_block_spectrum(M):
+def circulant_block_spectrum(M) -> np.ndarray:
     """spectrum of M = [[A, B], [C, D]] with circulant k x k blocks, without LAPACK.
 
     The DFT splits M/sqrt(2k) into k 2x2 blocks [[alpha, beta], [gamma, delta]] of
@@ -333,19 +300,19 @@ def circulant_block_spectrum(M):
     sym = np.fft.ifft(np.ascontiguousarray(blocks[..., 0, :, :]), norm="forward") / np.sqrt(m)
     (alpha, beta), (gamma, delta) = np.moveaxis(sym, (-3, -2), (0, 1))
     mean, root = (alpha + delta) / 2, np.sqrt(((alpha - delta) / 2) ** 2 + beta * gamma)
-    return _multisets(np.concatenate((mean + root, mean - root), axis=-1))
+    return _lexsorted(np.concatenate((mean + root, mean - root), axis=-1))
 
 
 def _cell_width(values, tol: float) -> float:
     """Side of the trace cells that distinct_spectra files spectra in.
 
-    `values` holds the spectra as rows, zero-padded to the longest, m.  Two
-    multisets of length <= m that multiset_match accepts at tol have exact
-    sums within m*tol of each other, since |sum(a) - sum(b)| <=
-    sum|a_i - b_sigma(i)|, and each computed sum lies within m*eps*scale of
-    its exact value (scale: the largest sum|values|).  The width is twice
-    that bound with room to spare, so the rounding of sum/width cannot move
-    two matching spectra further apart than neighbouring cells.
+    `values` holds the spectra as rows of length m.  Two spectra that
+    multiset_match accepts at tol have exact sums within m*tol of each
+    other, since |sum(a) - sum(b)| <= sum|a_i - b_sigma(i)|, and each
+    computed sum lies within m*eps*scale of its exact value (scale: the
+    largest sum|values|).  The width is twice that bound with room to
+    spare, so the rounding of sum/width cannot move two matching spectra
+    further apart than neighbouring cells.
     """
     m = values.shape[-1]
     scale = np.abs(values).sum(axis=-1).max(initial=0.0)
@@ -354,9 +321,9 @@ def _cell_width(values, tol: float) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")
 def distinct_spectra(spectra, tol: float) -> list:
-    """Representatives of `spectra` under first-match classification.
+    """Row indices of the representatives of the spectra (N, m), in order.
 
-    Each spectrum, in order, becomes a representative unless multiset_match
+    Each row, in order, becomes a representative unless multiset_match
     accepts it against an earlier one.  Representatives are filed by the
     complex sum of their values in square cells of _cell_width, and only
     the 3x3 cells around a spectrum's own can hold a match, so the result
@@ -364,20 +331,18 @@ def distinct_spectra(spectra, tol: float) -> list:
     positive finite number, or a sum is not finite, all spectra share one
     cell and every representative is compared.
 
-    A numpy step first tests each spectrum against the first one of each of
-    its 3x3 cells: sorted values within tol position by position match, as
-    in-order pairing is a bijection; a pass against a representative decides.
+    A numpy step first tests each row against the first one of each of its
+    3x3 cells: rows sorted as by spectrum and within tol position by
+    position match, as in-order pairing is a bijection; a pass against a
+    representative decides.
     """
-    spectra = list(spectra)
-    # zeros pad shorter spectra, changing no row's sum or sum of moduli
-    lengths = np.array([len(s.values) for s in spectra], dtype=int)
-    m = lengths.max(initial=0)
-    values = np.array([s.values if len(s) == m else np.pad(s.values, (0, m - len(s)))
-                       for s in spectra], dtype=complex).reshape(len(spectra), m)
+    values = np.asarray(spectra, dtype=complex)
+    if values.ndim != 2:
+        raise InvalidDimensions(f"expected spectra as rows (N, m), got shape {values.shape}")
     width = _cell_width(values, tol)
     sums = values.sum(axis=-1)
     if not (0.0 < width < math.inf and np.isfinite(sums).all()):
-        width, sums = math.inf, np.zeros(len(spectra), dtype=complex)
+        width, sums = math.inf, np.zeros(len(values), dtype=complex)
     # cell (i, j) as i + j*1j, exact as |sum| / width < 2**50, sorts by i, then j
     cell = np.floor(sums.real / width) + 1j * np.floor(sums.imag / width)
     around = cell[:, None] + np.array([complex(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
@@ -388,16 +353,15 @@ def distinct_spectra(spectra, tol: float) -> list:
     a = first[at[b, j]]
     # tol less a few ulps, as numpy's and Python's abs may round apart; inf - inf fails
     twin = (np.abs(values[a] - values[b]) <= tol * (1 - 8 * np.finfo(float).eps)).all(axis=-1)
-    twin &= (a < b) & (lengths[a] == lengths[b])
+    twin &= a < b
     leader = dict(zip(b[twin].tolist(), a[twin].tolist()))
-    cells, reps, filed = {}, [], set()
-    for n, (s, cs) in enumerate(zip(spectra, around.tolist())):
-        if leader.get(n) not in filed and not any(multiset_match(s.values, r.values, tol)
-                                                  for c in cs for r in cells.get(c, ())):
-            cells.setdefault(cs[4], []).append(s)
-            reps.append(s)
-            filed.add(n)
-    return reps
+    cells, reps = {}, set()
+    for n, cs in enumerate(around.tolist()):
+        if leader.get(n) not in reps and not any(multiset_match(values[n], values[r], tol)
+                                                 for c in cs for r in cells.get(c, ())):
+            cells.setdefault(cs[4], []).append(n)
+            reps.add(n)
+    return sorted(reps)
 
 
 def is_normal(M, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -420,4 +384,4 @@ def unitary_equivalent(M1, M2, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         raise InvalidDimensions("matrices must share an order")
     if not is_normal(A1, tol) or not is_normal(A2, tol):
         raise NotNormal("spectral equivalence needs normal matrices")
-    return spectrum(A1).matches(spectrum(A2), tol.tau_spec)
+    return multiset_match(spectrum(A1), spectrum(A2), tol.tau_spec)

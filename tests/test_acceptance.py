@@ -70,34 +70,34 @@ def phases(rng, n):
 
 def test_criterion_01_selfadjoint_landmark_spectrum():
     with criterion(1, "order-6 self-adjoint landmark spectrum is {-1^3, 1^3}"):
-        assert multiset_match(spectrum(d6()).values, [-1, -1, -1, 1, 1, 1], 1e-8)
+        assert multiset_match(spectrum(d6()), [-1, -1, -1, 1, 1, 1], 1e-8)
 
 
 def test_criterion_02_shuffled_landmark_spectrum():
     with criterion(2, "shuffled landmark spectrum gains the complex pair"):
         expected = [-1, -1, 1, 1, (1j - SQ2) / SQ3, -(1j + SQ2) / SQ3]
-        assert multiset_match(spectrum(d61()).values, expected, 1e-8)
+        assert multiset_match(spectrum(d61()), expected, 1e-8)
 
 
 def test_criterion_03_one_phase_family_spectra():
     with criterion(3, "one-phase order-4 family: landmarks + closed formula"):
         assert multiset_match(
-            spectrum(h4a(1.0)).values,
+            spectrum(h4a(1.0)),
             [-1, 1, -(1 + 1j * SQ3) / 2, (-1 + 1j * SQ3) / 2],
             1e-8,
         )
         sq7 = np.sqrt(7.0)
         assert multiset_match(
-            spectrum(h4a(1j)).values,
+            spectrum(h4a(1j)),
             [-1, 1, -(1 + 1j) / 4 + (1 - 1j) * sq7 / 4,
              -(1 + 1j) / 4 - (1 - 1j) * sq7 / 4],
             1e-8,
         )
-        assert multiset_match(spectrum(h4a(-1.0)).values, [-1, -1, 1, 1], 1e-8)
+        assert multiset_match(spectrum(h4a(-1.0)), [-1, -1, 1, 1], 1e-8)
         rng = np.random.default_rng(31)
         for _ in range(100):
             q = complex(phases(rng, 1)[0])
-            assert spectrum(h4a(q)).matches(h4a_spectrum_closed(q), 1e-8)
+            assert multiset_match(spectrum(h4a(q)), h4a_spectrum_closed(q), 1e-8)
 
 
 def test_criterion_04_circulant_sextic_landmark():
@@ -111,7 +111,7 @@ def test_criterion_04_circulant_sextic_landmark():
         expected = np.array([1, -SQ6, 3, -2 * SQ2, 3, -SQ6, 1])
         assert np.max(np.abs(char_poly(M) - expected)) <= 1e-8
         assert multiset_match(
-            spectrum(dephase(M)).values, [-1, -1, -1, 1, 1, 1], 1e-8
+            spectrum(dephase(M)), [-1, -1, -1, 1, 1, 1], 1e-8
         )
 
 
@@ -154,7 +154,7 @@ def test_criterion_06_cubic_point_with_octic_spectrum():
             for fbr in c6_solve_f(a, b, c, d, ebr.value):
                 M = m6(a, b, c, d, ebr.value, fbr.value)
                 assert is_hadamard(M)
-                assert multiset_match(spectrum(M).values, expected, 1e-8)
+                assert multiset_match(spectrum(M), expected, 1e-8)
                 combos += 1
         assert combos == 6
 
@@ -164,13 +164,13 @@ def test_criterion_07_cubic_point_matching_dephased_sextic():
                       "dephased circulant sextic"):
         a, b, c, e = 1.0, np.exp(2j * np.pi / 3), np.exp(4j * np.pi / 3), 1.0
         target = [-1, -1, -1, 1, 1, 1]
-        reference = spectrum(bf_dephased(bf_quartic_roots()[0])).values
+        reference = spectrum(bf_dephased(bf_quartic_roots()[0]))
         assert multiset_match(reference, target, 1e-8)
         combos = 0
         for dbr in c6_solve_cubic("d", a=a, b=b, c=c, e=e):
             for fbr in c6_solve_f(a, b, c, dbr.value, e):
                 M = m6(a, b, c, dbr.value, e, fbr.value)
-                sp = spectrum(M).values
+                sp = spectrum(M)
                 assert multiset_match(sp, target, 1e-8)
                 assert multiset_match(sp, reference, 1e-8)
                 combos += 1
@@ -212,8 +212,8 @@ def test_criterion_09_three_parameter_sheets():
             assert is_hadamard(M1)
             assert is_hadamard(M2)
             # monic reduced cubics, ascending
-            q1 = np.poly(reduced_roots(spectrum(M1).values))[::-1]
-            q2 = np.poly(reduced_roots(spectrum(M2).values))[::-1]
+            q1 = np.poly(reduced_roots(spectrum(M1)))[::-1]
+            q2 = np.poly(reduced_roots(spectrum(M2)))[::-1]
             assert abs(q1[2] + q2[2]) <= 1e-8
             assert abs(q1[1] - q2[1]) <= 1e-8
             assert not unitary_equivalent(M1, M2)
@@ -225,7 +225,7 @@ def test_criterion_10_doubled_octic_landmark():
                        "lifted pair"):
         M = d81()
         assert is_hadamard(M)
-        ys = reduced_roots(spectrum(M).values)
+        ys = reduced_roots(spectrum(M))
         expected = [
             -1j * SQ2,
             1j * (2 + SQ2) / 2,
@@ -233,7 +233,7 @@ def test_criterion_10_doubled_octic_landmark():
             1j * (SQ2 - np.sqrt(10.0)) / 4,
         ]
         assert multiset_match(ys, expected, 1e-8)
-        sp = spectrum(M).values
+        sp = spectrum(M)
         for target in lift_roots([-1j * SQ2]):
             assert min(abs(z - target) for z in sp) <= 1e-8
 
@@ -285,7 +285,7 @@ def test_criterion_12ii_hadamard_spectra_unimodular():
             corpus.append(d8a(*phases(rng, 6)))
         for M in corpus:
             assert is_hadamard(M)
-            assert spectrum(M).max_unimodularity_deviation() <= 1e-8
+            assert np.max(np.abs(np.abs(spectrum(M)) - 1.0)) <= 1e-8
 
 
 def test_criterion_12iii_branch_soundness():
@@ -307,7 +307,7 @@ def test_criterion_12iii_branch_soundness():
                 a, b, c, d, e = phases(rng, 5)
                 for br in c6_solve_f(a, b, c, d, e):
                     assert abs(
-                        c6_residuals(a, b, c, d, e, br.value).values[0]
+                        c6_residuals(a, b, c, d, e, br.value)[0]
                     ) <= 1e-9
             elif kind == 2:
                 unknown = "abc"[done % 3]
@@ -325,7 +325,7 @@ def test_criterion_12iii_branch_soundness():
             else:
                 p = phases(rng, 7)
                 for br in c8_solve_h(*p):
-                    assert abs(c8_residuals(*p, br.value).values[0]) <= 1e-9
+                    assert abs(c8_residuals(*p, br.value)[0]) <= 1e-9
             done += 1
 
 
@@ -348,7 +348,7 @@ def test_criterion_12iv_pair_elimination_locus():
                 a, b, c, d, e = phases(rng, 5)
             reduced_vanishes = abs(c6_reduced_residual(a, b, c, d, e)) <= 1e-8 * scale
             subs = [
-                abs(c6_residuals(a, b, c, d, e, br.value).values[1])
+                abs(c6_residuals(a, b, c, d, e, br.value)[1])
                 for br in c6_solve_f(a, b, c, d, e)
             ]
             both_vanish = max(subs) <= 1e-8 * scale * max(1.0, abs(a)) ** 2

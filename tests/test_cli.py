@@ -225,10 +225,13 @@ class TestGen:
         assert "construction failed" in err
 
     def test_gen_d8a_zero_parameter_is_construction_failure(self, capsys):
-        # the zero g must be caught before the right block divides by it
-        code, out, err = run(capsys, "gen", "d8a", "--params", "0,0,0,0,0i,0")
-        assert (code, out) == (EXIT_CONSTRAINT, "")
-        assert "construction failed" in err
+        # a zero g must be caught before the right block divides by it, and
+        # each zero is named as d8a names it, not as the blocks' solvers do
+        for params, name in [("0i,0,0,0,0,0", "b"), ("0,0,0,0i,0,0", "f"),
+                             ("0,0,0,0,0i,0", "g"), ("0,0,0,0,0,0i", "h")]:
+            code, out, err = run(capsys, "gen", "d8a", "--params", params)
+            assert (code, out) == (EXIT_CONSTRAINT, "")
+            assert f"construction failed: parameter {name!r} must be finite and nonzero" in err
 
     def test_gen_m8_unknown_branch_label_is_construction_failure(self, capsys):
         code, _, err = run(

@@ -271,14 +271,14 @@ class TestOrder4:
 class TestOrder6Residuals:
     def test_all_ones(self):
         res = c6_residuals(1, 1, 1, 1, 1, 1)
-        assert res.order == 6
-        assert np.allclose(res.values, (6, 6))
+        assert res.shape == (2,)
+        assert np.allclose(res, (6, 6))
 
     def test_unit_values_with_solved_f(self):
         # f**2 + 4f + 1 = 0 at unit values; f = -2 + sqrt(3)
         f = -2 + SQ3
         res = c6_residuals(1, 1, 1, 1, 1, f)
-        assert abs(res.values[0]) < 1e-12
+        assert abs(res[0]) < 1e-12
 
     def test_reduced_all_ones(self):
         assert abs(c6_reduced_residual(1, 1, 1, 1, 1)) < 1e-15
@@ -308,7 +308,7 @@ class TestOrder6SolveF:
             a, b, c, d, e = random_phases(rng, 5)
             for br in c6_solve_f(a, b, c, d, e):
                 res = c6_residuals(a, b, c, d, e, br.value)
-                assert abs(res.values[0]) < 1e-12
+                assert abs(res[0]) < 1e-12
 
     def test_vieta_product(self, rng):
         # product of roots = constant/lead = d*e
@@ -319,7 +319,7 @@ class TestOrder6SolveF:
     def test_mixed_point_residuals(self):
         a, b, c, d, e = 1, 1, 1j, np.exp(1j * np.pi / 4), -1
         for br in c6_solve_f(a, b, c, d, e):
-            assert abs(c6_residuals(a, b, c, d, e, br.value).values[0]) < 1e-12
+            assert abs(c6_residuals(a, b, c, d, e, br.value)[0]) < 1e-12
 
     def test_vieta_product_for_a_small_a(self, rng):
         # |a| = 1e-5 puts the roots 1e5 apart in modulus; the small root
@@ -438,7 +438,7 @@ class TestPairPathConsistency:
                 for fbr in c6_solve_f(a, b, c, d, e):
                     res = c6_residuals(a, b, c, d, e, fbr.value)
                     scale = sum(abs(v) for v in (a, b, c, d, e)) ** 6
-                    assert abs(res.values[1]) < 1e-9 * scale
+                    assert abs(res[1]) < 1e-9 * scale
 
     def test_exchanged_roles_give_same_locus(self, rng):
         # solve the second constraint for f instead, then check the first
@@ -459,7 +459,7 @@ class TestPairPathConsistency:
                     # |a| and |f| reach ~100 near the singular surface, so the
                     # bound scales with the constraint's own terms P*x_j/x_{j+2}
                     scale = abs(np.prod(x)) * np.sum(np.abs(x / x[[2, 0, 1, 5, 3, 4]]))
-                    assert abs(res.values[0]) < 1e-9 * scale
+                    assert abs(res[0]) < 1e-9 * scale
 
     def test_generic_points_violate_both(self, rng):
         # off the reduced locus neither f-branch kills the second constraint
@@ -469,7 +469,7 @@ class TestPairPathConsistency:
             if reduced < 1e-2:
                 continue
             second = [
-                abs(c6_residuals(a, b, c, d, e, br.value).values[1])
+                abs(c6_residuals(a, b, c, d, e, br.value)[1])
                 for br in c6_solve_f(a, b, c, d, e)
             ]
             assert min(second) > 1e-8
@@ -526,8 +526,8 @@ class TestReducedCoefficients:
 class TestOrder8:
     def test_all_ones(self):
         res = c8_residuals(*([1.0] * 8))
-        assert res.order == 8
-        assert np.allclose(res.values, (8, 8, 8))
+        assert res.shape == (3,)
+        assert np.allclose(res, (8, 8, 8))
 
     def test_solve_h_unit_point(self):
         branches = c8_solve_h(1, 1, 1, 1, 1, 1, 1)
@@ -539,7 +539,7 @@ class TestOrder8:
             p = random_phases(rng, 7)
             for br in c8_solve_h(*p):
                 res = c8_residuals(*p, br.value)
-                assert abs(res.values[0]) < 1e-10
+                assert abs(res[0]) < 1e-10
 
     def test_reduced_all_ones(self):
         assert abs(c8_reduced_residual(*([1.0] * 7))) < 1e-15
@@ -556,7 +556,7 @@ class TestOrder8:
         for _ in range(20):
             p = random_phases(rng, 7)
             prod = np.prod(
-                [c8_residuals(*p, br.value).values[2] for br in c8_solve_h(*p)]
+                [c8_residuals(*p, br.value)[2] for br in c8_solve_h(*p)]
             )
             reduced = c8_reduced_residual(*p)
             assert abs(abs(prod) - abs(reduced) ** 2) < 1e-8 * max(1.0, abs(prod))
@@ -578,8 +578,8 @@ class TestCyclicRatioForm:
         residuals, expanded = ORACLES[order][:2]
         for p in off_torus_points(rng, order):
             res = residuals(*p)
-            assert res.order == order
-            for got, want in zip(res.values, expanded(*p), strict=True):
+            assert res.shape == (order // 2 - 1,)
+            for got, want in zip(res, expanded(*p), strict=True):
                 assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_exact_jacobian_matches_central_differences(self, rng, order):
@@ -914,7 +914,7 @@ class TestBranchSoundnessSweep:
             elif kind == 1:
                 a, b, c, d, e = random_phases(rng, 5)
                 for br in c6_solve_f(a, b, c, d, e):
-                    assert abs(c6_residuals(a, b, c, d, e, br.value).values[0]) < 1e-9
+                    assert abs(c6_residuals(a, b, c, d, e, br.value)[0]) < 1e-9
             elif kind == 2:
                 unknown = "abc"[checked % 3]
                 names = sorted(set("abcde") - {unknown})
@@ -931,5 +931,5 @@ class TestBranchSoundnessSweep:
             else:
                 p = random_phases(rng, 7)
                 for br in c8_solve_h(*p):
-                    assert abs(c8_residuals(*p, br.value).values[0]) < 1e-9
+                    assert abs(c8_residuals(*p, br.value)[0]) < 1e-9
             checked += 1

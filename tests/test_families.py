@@ -56,7 +56,7 @@ SQ6 = np.sqrt(6.0)
 
 def _reduced_cubic(M):
     """Monic reduced polynomial of the spectrum of an order-6 M, ascending."""
-    return np.poly(reduced_roots(spectrum(M).values))[::-1]
+    return np.poly(reduced_roots(spectrum(M)))[::-1]
 
 
 def bf_dephased_pattern(d):
@@ -132,7 +132,7 @@ class TestH4:
         expected = [
             -(1j + SQ3) / 2, -(1j - SQ3) / 2, (1j + SQ3) / 2, (1j - SQ3) / 2,
         ]
-        assert_spectrum(spectrum(h4(1, 1j, -1j)).values, expected)
+        assert_spectrum(spectrum(h4(1, 1j, -1j)), expected)
 
     def test_second_landmark_char_poly(self):
         # at b=1, c=exp(i*pi/2), d=exp(i*pi/4) the monic spectral equation
@@ -146,26 +146,26 @@ class TestH4:
         b, c, d = random_phases(rng, 3)
         casc = ec1_coeffs(b, c, d)
         ys = reduced_roots(poly_roots(casc))
-        assert multiset_match(lift_roots(ys), spectrum(h4(b, c, d)).values, 1e-8)
+        assert multiset_match(lift_roots(ys), spectrum(h4(b, c, d)), 1e-8)
 
 
 class TestH4a:
     def test_landmark_spectra(self):
         assert_spectrum(
-            spectrum(h4a(1.0)).values,
+            spectrum(h4a(1.0)),
             [-1, 1, -(1 + 1j * SQ3) / 2, (-1 + 1j * SQ3) / 2],
         )
-        assert_spectrum(spectrum(h4a(-1.0)).values, [-1, -1, 1, 1])
+        assert_spectrum(spectrum(h4a(-1.0)), [-1, -1, 1, 1])
         sq7 = np.sqrt(7.0)
         assert_spectrum(
-            spectrum(h4a(1j)).values,
+            spectrum(h4a(1j)),
             [-1, 1, -(1 + 1j) / 4 + (1 - 1j) * sq7 / 4, -(1 + 1j) / 4 - (1 - 1j) * sq7 / 4],
         )
 
     def test_closed_formula_tracks_matrix(self, rng):
         for _ in range(100):
             q = complex(random_phases(rng, 1)[0])
-            assert spectrum(h4a(q)).matches(h4a_spectrum_closed(q), 1e-8)
+            assert multiset_match(spectrum(h4a(q)), h4a_spectrum_closed(q), 1e-8)
 
     def test_hadamard(self, rng):
         q = complex(random_phases(rng, 1)[0])
@@ -297,7 +297,7 @@ class TestBF:
 
     def test_dephased_spectrum(self):
         assert_spectrum(
-            spectrum(bf_dephased(bf_quartic_roots()[0])).values, [-1, -1, -1, 1, 1, 1]
+            spectrum(bf_dephased(bf_quartic_roots()[0])), [-1, -1, -1, 1, 1, 1]
         )
 
     def test_not_equivalent_to_dephased(self):
@@ -317,7 +317,7 @@ class TestM6:
         M = m6(1, 1, 1, 1, 1, 1)
         assert not is_hadamard(M)
         res = c6_residuals(1, 1, 1, 1, 1, 1)
-        assert res.max_abs() == 6.0
+        assert np.max(np.abs(res)) == 6.0
 
     def test_standard_form_equals_dephased(self, rng):
         params = random_phases(rng, 6)
@@ -487,7 +487,7 @@ class TestStandardFormCollapse:
         Ms = dephase(M)
         lam = -(1 + 1j * np.sqrt(5.0)) / SQ6
         mu = (-1 + 1j * np.sqrt(5.0)) / SQ6
-        assert_spectrum(spectrum(Ms).values, [-1, 1, lam, lam, mu, mu], 1e-7)
+        assert_spectrum(spectrum(Ms), [-1, 1, lam, lam, mu, mu], 1e-7)
 
     def test_undephased_and_dephased_not_equivalent(self, rng):
         c, d, e = random_phases(rng, 3)
@@ -505,13 +505,13 @@ class TestM8:
         assert np.max(np.abs(M[4:, 4:] + entrywise_inv_transpose(M[:4, :4]))) < 1e-14
 
     def test_all_ones_residuals(self):
-        assert np.allclose(c8_residuals(*([1.0] * 8)).values, (8, 8, 8))
+        assert np.allclose(c8_residuals(*([1.0] * 8)), (8, 8, 8))
         assert not is_hadamard(m8(*([1.0] * 8)))
 
     def test_h_branch_kills_first_constraint(self, rng):
         p = random_phases(rng, 7)
         M, h = m8_from_h_branch(*p, h_branch="+")
-        assert abs(c8_residuals(*p, h).values[0]) < 1e-10
+        assert abs(c8_residuals(*p, h)[0]) < 1e-10
 
 
 @st.composite
@@ -572,7 +572,7 @@ class TestDoubling:
 
     def test_doubled_spectra_unimodular(self):
         M12 = double(a6(), b6())
-        assert spectrum(M12).max_unimodularity_deviation() < 1e-8
+        assert np.max(np.abs(np.abs(spectrum(M12)) - 1.0)) < 1e-8
 
     @settings(max_examples=20, deadline=None)
     @given(equal_order_hadamards())
@@ -581,7 +581,7 @@ class TestDoubling:
         while 2 * len(X) <= 48:
             X, Y = double(X, Y), double(Y, X)
             assert is_hadamard(X)
-            values = spectrum(X).values
+            values = spectrum(X)
             assert multiset_match(lift_roots(reduced_roots(values)), values, 1e-8)
 
     def test_stacked_double_is_the_per_pair_double(self, rng):
@@ -631,7 +631,7 @@ class TestD8aAndD81:
         assert is_hadamard(d81())
 
     def test_d81_reduced_roots(self):
-        ys = reduced_roots(spectrum(d81()).values)
+        ys = reduced_roots(spectrum(d81()))
         expected = [
             -1j * SQ2,
             1j * (2 + SQ2) / 2,
@@ -641,7 +641,7 @@ class TestD8aAndD81:
         assert multiset_match(ys, expected, 1e-8)
 
     def test_d81_x_spectrum_contains_lifted_pair(self):
-        sp = spectrum(d81()).values
+        sp = spectrum(d81())
         for target in ((1j + 1) / SQ2, (1j - 1) / SQ2):
             assert min(abs(z - target) for z in sp) < 1e-10
 
@@ -662,4 +662,4 @@ class TestGeneratedHadamardSpectraUnimodular:
         ]
         for M in mats:
             assert is_hadamard(M)
-            assert spectrum(M).max_unimodularity_deviation() <= 1e-8
+            assert np.max(np.abs(np.abs(spectrum(M)) - 1.0)) <= 1e-8

@@ -12,7 +12,6 @@ from hadamard_forge import (
     NotNormal,
     NotReciprocal,
     RootFindingFailure,
-    SpectrumMultiset,
     a6,
     b6,
     bf,
@@ -39,7 +38,7 @@ from hadamard_forge import (
     unitary_equivalent,
 )
 from hadamard_forge import spectra as spectra_module
-from hadamard_forge.spectra import _cell_width
+from hadamard_forge.spectra import _cell_width, _lexsorted
 from conftest import assert_spectrum, random_phases
 
 SQ2 = np.sqrt(2.0)
@@ -201,7 +200,7 @@ class TestReciprocal:
 
     def test_d6_spectrum_reduces(self):
         # {-1 x3, +1 x3}: (x^2-1)^3 = x^3 * (-y)^3, a triple root y = 0
-        ys = reduced_roots(spectrum(d6()).values)
+        ys = reduced_roots(spectrum(d6()))
         assert_spectrum(ys, [0, 0, 0], 1e-12)
 
     def test_x_squared_minus_one(self):
@@ -393,11 +392,11 @@ class TestMultisetMatch:
 
 
 def first_match_scan(spectra, tol):
-    """The exhaustive classification: compare with every representative."""
+    """The exhaustive classification: compare with every representative, by row index."""
     reps = []
-    for s in spectra:
-        if not any(s.matches(r, tol) for r in reps):
-            reps.append(s)
+    for n, s in enumerate(spectra):
+        if not any(multiset_match(s, spectra[r], tol) for r in reps):
+            reps.append(n)
     return reps
 
 
@@ -437,8 +436,8 @@ def spectrum_lists(draw):
         radius = tol * np.array(draw(
             st.lists(st.floats(0.0, 1.2), min_size=m, max_size=m)))
         phase = np.array(draw(st.lists(ANGLES, min_size=m, max_size=m)))
-        spectra.append(SpectrumMultiset(base[perm] + radius * np.exp(1j * phase)))
-    return spectra, tol
+        spectra.append(base[perm] + radius * np.exp(1j * phase))
+    return _lexsorted(np.array(spectra)), tol
 
 
 class TestDistinctSpectra:
@@ -466,29 +465,33 @@ class TestDistinctSpectra:
         if aligned:
             radius, phase = np.full(m, tol), np.full(m, phase[0])
         b = a[perm] + radius * np.exp(1j * phase)
-        A, B = SpectrumMultiset(a), SpectrumMultiset(b)
-        if multiset_match(A.values, B.values, tol):
-            gap = abs(np.sum(A.values) - np.sum(B.values))
-            assert gap <= _cell_width(np.array([A.values, B.values]), tol) / 2
+        A, B = _lexsorted(a), _lexsorted(b)
+        if multiset_match(A, B, tol):
+            gap = abs(np.sum(A) - np.sum(B))
+            assert gap <= _cell_width(np.array([A, B]), tol) / 2
 
     def test_constant_trace_family_falls_back_to_one_cell(self, rng):
         # +-v pairs sum to zero, so every spectrum shares the cells around 0
         half = random_phases(rng, 3 * 40).reshape(40, 3)
-        spectra = [SpectrumMultiset(np.concatenate([h, -h])) for h in half]
-        spectra += spectra[::2]
+        spectra = _lexsorted(np.concatenate([half, -half], axis=1))
+        spectra = np.concatenate([spectra, spectra[::2]])
         assert distinct_spectra(spectra, 1e-8) == first_match_scan(spectra, 1e-8)
         assert len(distinct_spectra(spectra, 1e-8)) == 40
 
     def test_non_finite_sums_fall_back_to_the_scan(self):
-        spectra = [SpectrumMultiset([1.0, np.nan]), SpectrumMultiset([1.0, 2.0]),
-                   SpectrumMultiset([1.0, 2.0 + 1e-9]), SpectrumMultiset([np.inf, 0.0])]
-        assert distinct_spectra(spectra, 1e-8) == [spectra[0], spectra[1], spectra[3]]
-        assert distinct_spectra([], 1e-8) == []
+        spectra = _lexsorted(np.array([[1.0, np.nan], [1.0, 2.0], [1.0, 2.0 + 1e-9],
+                                       [np.inf, 0.0]], dtype=complex))
+        assert distinct_spectra(spectra, 1e-8) == [0, 1, 3]
 
-    def test_spectra_of_different_lengths(self):
-        spectra = [SpectrumMultiset([1.0, 2.0]), SpectrumMultiset([1.0, 2.0, 0.0]),
-                   SpectrumMultiset([1.0, 2.0 + 1e-9]), SpectrumMultiset([])]
-        assert distinct_spectra(spectra, 1e-8) == [spectra[0], spectra[1], spectra[3]]
+    @pytest.mark.parametrize("m", [1, 6])
+    def test_no_spectra_give_no_representatives(self, m):
+        assert distinct_spectra(np.empty((0, m), dtype=complex), 1e-8) == []
+        assert distinct_spectra(spectrum(np.empty((0, m, m))), 1e-8) == []
+
+    def test_spectra_not_given_as_rows_are_rejected(self):
+        for spectra in (spectrum(d6()), [], np.zeros((2, 3, 6))):
+            with pytest.raises(InvalidDimensions):
+                distinct_spectra(spectra, 1e-8)
 
     def test_sweep_spectra_need_few_comparisons(self, monkeypatch):
         from hadamard_forge import is_hadamard
@@ -512,10 +515,10 @@ class TestDistinctSpectra:
 
     def test_matching_spectra_sorted_apart_go_to_the_matcher(self, monkeypatch):
         # real parts within tol: lexsort puts a's upper value first, b's lower
-        a = SpectrumMultiset([1.0 + 0.5j, 1.0 + 3e-9 - 0.5j])
-        b = SpectrumMultiset([1.0 + 3e-9 + 0.5j, 1.0 - 0.5j])
-        c = SpectrumMultiset(a.values + 2e-9)
-        assert not np.all(np.abs(a.values - b.values) <= 1e-8)
+        a = _lexsorted(np.array([1.0 + 0.5j, 1.0 + 3e-9 - 0.5j]))
+        b = _lexsorted(np.array([1.0 + 3e-9 + 0.5j, 1.0 - 0.5j]))
+        c = _lexsorted(a + 2e-9)
+        assert not np.all(np.abs(a - b) <= 1e-8)
         calls = []
 
         def counted(u, v, tol):
@@ -523,15 +526,15 @@ class TestDistinctSpectra:
             return multiset_match(u, v, tol)
 
         monkeypatch.setattr(spectra_module, "multiset_match", counted)
-        reps = distinct_spectra([a, b, c], 1e-8)
+        reps = distinct_spectra(np.array([a, b, c]), 1e-8)
         # b needs the matcher; c passes the in-order test against a
         assert len(calls) == 1
-        assert reps == first_match_scan([a, b, c], 1e-8) == [a]
+        assert reps == first_match_scan(np.array([a, b, c]), 1e-8) == [0]
 
 
 class TestSpectrumAndEquivalence:
     def test_spectrum_d6(self):
-        assert_spectrum(spectrum(d6()).values, [-1, -1, -1, 1, 1, 1])
+        assert_spectrum(spectrum(d6()), [-1, -1, -1, 1, 1, 1])
 
     def test_stack_is_sorted_as_each_spectrum_alone(self, rng):
         # real matrices give conjugate pairs, +-1 matrices repeated values
@@ -541,16 +544,23 @@ class TestSpectrumAndEquivalence:
             m = stack.shape[-1]
             scaled = np.asarray(stack, dtype=complex) / np.sqrt(m)
             for s, ev in zip(spectrum(stack), np.linalg.eigvals(scaled)):
-                assert np.array_equal(s.values, SpectrumMultiset(ev).values)
+                assert np.array_equal(s, _lexsorted(ev))
+
+    def test_stack_of_any_shape_gives_each_matrix_its_own_spectrum(self, rng):
+        stack = rng.normal(size=(2, 3, 5, 5)) + 1j * rng.normal(size=(2, 3, 5, 5))
+        got = spectrum(stack)
+        assert got.shape == (2, 3, 5)
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(got[i, j], spectrum(stack[i, j]))
 
     def test_spectrum_d61(self):
         expected = [-1, -1, 1, 1, (1j - SQ2) / SQ3, -(1j + SQ2) / SQ3]
-        assert_spectrum(spectrum(d61()).values, expected)
+        assert_spectrum(spectrum(d61()), expected)
 
     def test_spectrum_matches_poly_roots_even_with_multiplicity(self):
         for M in (d6(), d61(), dephase(bf(bf_quartic_roots()[0]))):
             roots = poly_roots(char_poly(M))
-            assert multiset_match(spectrum(M).values, roots, 1e-8)
+            assert multiset_match(spectrum(M), roots, 1e-8)
 
     def test_d6_not_equivalent_to_d61(self):
         assert not unitary_equivalent(d6(), d61())
@@ -584,7 +594,7 @@ class TestSpectrumAndEquivalence:
             M = {"d61": d61, "d81": d81}[family]()
         perm = data.draw(st.permutations(range(M.shape[0])))
         P = permutation_matrix(perm)
-        assert spectrum(P @ M @ P.T).matches(spectrum(M), 1e-8)
+        assert multiset_match(spectrum(P @ M @ P.T), spectrum(M), 1e-8)
 
     def test_reflexive_symmetric(self):
         assert unitary_equivalent(d6(), d6())
@@ -597,18 +607,13 @@ class TestSpectrumAndEquivalence:
 
     def test_selfadjoint_spectrum_real(self):
         sp = spectrum(d6())
-        assert np.max(np.abs(sp.values.imag)) < 1e-8
+        assert np.max(np.abs(sp.imag)) < 1e-8
 
     def test_determinant_consistency(self, rng):
         M = d61()
         sp = spectrum(M)
         det = np.linalg.det(M / SQ6)
-        assert abs(np.prod(sp.values) - det) < 1e-8 * 6
-
-    def test_spectrum_multiset_repr_and_len(self):
-        sp = SpectrumMultiset([1.0, -1.0])
-        assert len(sp) == 2
-        assert "SpectrumMultiset" in repr(sp)
+        assert abs(np.prod(sp) - det) < 1e-8 * 6
 
 
 @st.composite
@@ -635,15 +640,15 @@ class TestCirculantBlockSpectrum:
         want = spectrum(stack)
         assert len(got) == len(want) == len(stack)
         for g, w in zip(got, want):
-            assert np.array_equal(g.values, SpectrumMultiset(g.values).values)
-            assert multiset_match(g.values, w.values, 1e-12)
+            assert np.array_equal(g, _lexsorted(g))
+            assert multiset_match(g, w, 1e-12)
 
     def test_one_matrix_gives_a_multiset_and_no_matrices_an_empty_list(self, rng):
         M = m8(*random_phases(rng, 8))
         got = circulant_block_spectrum(M)
-        assert isinstance(got, SpectrumMultiset)
-        assert got.matches(spectrum(M), 1e-12)
-        assert circulant_block_spectrum(np.zeros((0, 6, 6), dtype=complex)) == []
+        assert got.shape == (8,)
+        assert multiset_match(got, spectrum(M), 1e-12)
+        assert circulant_block_spectrum(np.zeros((0, 6, 6), dtype=complex)).shape == (0, 6)
 
     def test_near_double_eigenvalues_keep_their_digits(self, rng):
         # symbol blocks alpha*I + O(1e-9), where tau**2 - 4*det keeps only ~8 digits
@@ -651,7 +656,7 @@ class TestCirculantBlockSpectrum:
         small = 1e-9 * random_phases(rng, 9)
         M = np.block([[circulant(r), circulant(small[:3])],
                       [circulant(small[3:6]), circulant(r + small[6:])]])
-        assert circulant_block_spectrum(M).matches(spectrum(M), 1e-12)
+        assert multiset_match(circulant_block_spectrum(M), spectrum(M), 1e-12)
 
     def test_blocks_that_are_not_circulant_are_rejected(self, rng):
         nudged = m6(*random_phases(rng, 6))
