@@ -18,7 +18,6 @@ from .core import (
     InvalidParameter,
     NotNormal,
     NotReciprocal,
-    ParamVector,
     RootFindingFailure,
     SingularBranch,
     ToleranceConfig,
@@ -47,7 +46,6 @@ from .spectra import (
 )
 from .constraints import (
     NumericSolveReport,
-    SolutionBranch,
     c4_branches,
     c4_residual,
     c6_reduced_residual,

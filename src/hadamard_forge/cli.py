@@ -358,35 +358,35 @@ def _print_closed_branches(solve, residuals, build, values, tol):
     unknown = list(inspect.signature(residuals).parameters)[-1]
     if len(values) != len(names):
         raise CliError(f"unknown {unknown} needs values for {names}", EXIT_USAGE)
-    for br in solve(*values):
-        params = [*values, br.value]
+    for label, value in zip("+-", solve(*values)):
+        params = [*values, value]
         shown = ", ".join(f"{abs(v):.3e}" for v in residuals(*params))
-        print(f"branch {unknown}{br.branch_label}: value={format_complex(br.value)} "
-              f"{_torus_tag(br.value, tol)} constraints=({shown})")
+        print(f"branch {unknown}{label}: value={format_complex(value)} "
+              f"{_torus_tag(value, tol)} constraints=({shown})")
         _print_branch_matrix("matrix", build(*params), tol)
     return EXIT_OK
 
 
 def _solve4(unknowns, values, tol):
-    if len(unknowns) != 1 or unknowns[0] not in "abcd":
+    if len(unknowns) != 1 or unknowns[0] not in list("abcd"):
         raise CliError("order 4 solves one unknown among a b c d", EXIT_USAGE)
     unknown = unknowns[0]
     names = [n for n in "abcd" if n != unknown]
     if len(values) != 3:
         raise CliError(f"order 4 needs values for {names}", EXIT_USAGE)
     given = dict(zip(names, values))
-    for br in constraints.c4_branches(unknown, **given):
+    for label, value in zip("+-", constraints.c4_branches(unknown, **given)):
         params = dict(given)
-        params[unknown] = br.value
+        params[unknown] = value
         res = constraints.c4_residual(**params)
-        print(f"branch {unknown}{br.branch_label}: value={format_complex(br.value)} "
-              f"{_torus_tag(br.value, tol)} constraint={abs(res):.3e}")
+        print(f"branch {unknown}{label}: value={format_complex(value)} "
+              f"{_torus_tag(value, tol)} constraint={abs(res):.3e}")
         _print_branch_matrix("matrix", families.m4(**params), tol)
     return EXIT_OK
 
 
 def _solve6(unknowns, values, tol):
-    if len(unknowns) != 1 or unknowns[0] not in "abcdef":
+    if len(unknowns) != 1 or unknowns[0] not in list("abcdef"):
         raise CliError("order 6 solves one unknown among a b c d e f", EXIT_USAGE)
     unknown = unknowns[0]
     if unknown == "f":
@@ -397,22 +397,24 @@ def _solve6(unknowns, values, tol):
         raise CliError(f"unknown {unknown} needs values for {names}", EXIT_USAGE)
     given = dict(zip(names, values))
     if unknown in "abc":
+        labels = "+-"
         try:
-            branches = constraints.c6_solve_quadratic(unknown, **given)
+            roots = constraints.c6_solve_quadratic(unknown, **given)
         except core.SingularBranch as exc:
             print(f"singular branch: {exc}")
             return EXIT_OK
     else:
-        branches = constraints.c6_solve_cubic(unknown, tol, **given)
-    for br in branches:
+        labels = "123"
+        roots = constraints.c6_solve_cubic(unknown, tol, **given)
+    for label, value in zip(labels, roots):
         params = dict(given)
-        params[unknown] = br.value
+        params[unknown] = value
         reduced = constraints.c6_reduced_residual(**params)
-        print(f"branch {unknown}{br.branch_label}: value={format_complex(br.value)} "
-              f"{_torus_tag(br.value, tol)} reduced-constraint={abs(reduced):.3e}")
-        for fbr in constraints.c6_solve_f(**params):
-            M = families.m6(**params, f=fbr.value)
-            _print_branch_matrix(f"with f{fbr.branch_label}={format_complex(fbr.value)}", M, tol)
+        print(f"branch {unknown}{label}: value={format_complex(value)} "
+              f"{_torus_tag(value, tol)} reduced-constraint={abs(reduced):.3e}")
+        for f_label, f in zip("+-", constraints.c6_solve_f(**params)):
+            M = families.m6(**params, f=f)
+            _print_branch_matrix(f"with f{f_label}={format_complex(f)}", M, tol)
             _print_spectrum("      spectrum", M, tol)
     return EXIT_OK
 
@@ -434,13 +436,12 @@ def _solve8(unknowns, values, tol, args):
     print(f"restarts: {report.restarts} converged: {report.converged} "
           f"degenerate: {report.rejected_degenerate} "
           f"no-convergence: {report.no_convergence}")
-    for vec in report.solutions:
+    for x in report.solutions:
         shown = " ".join(f"{n}={format_complex(v)}"
-                         for n, v in zip(constraints.PARAM_NAMES_8, vec.values))
-        M = families.m8(*vec.values)
+                         for n, v in zip(constraints.PARAM_NAMES_8, x))
         print(f"solution: {shown}")
-        _print_branch_matrix("matrix", M, tol)
-    if not report.solutions:
+        _print_branch_matrix("matrix", families.m8(*x), tol)
+    if not report:
         print("no verified solutions (NoConvergence diagnostics above)")
     return EXIT_OK
 
@@ -464,8 +465,7 @@ def _sweep_matrices(order, seed, samples):
     if order == 8:
         return families.d8a(*draws.T)
     b, c, d, e = draws.T
-    points = list(families.m6_branch_points(b, c, d, e))
-    a, f = (np.stack([p[j] for p in points], axis=-1).ravel() for j in (2, 3))
+    a, f = (x.ravel() for x in families.m6_branch_points(b, c, d, e))
     rows = np.array([a, *np.repeat([b, c, d, e], 4, axis=-1), f])
     keep = np.isfinite(a) & np.isfinite(f) & (a != 0) & (f != 0)
     return families.m6(*rows[:, keep])

@@ -13,19 +13,20 @@ leaves one reduced condition; order 8 keeps a third constraint that is
 solved numerically.  The order-6 reduced condition is quadratic in a, b
 and c and cubic in d and e; its solvers read the coefficients off the
 condition itself, by its values at roots of unity and an inverse DFT.
-Solvers return SolutionBranch records so callers can
-keep track of which sheet of the square or cube root they are on; every
-branch substitutes back to a residual at rounding level.  The quadratic
-solvers also take parameter arrays broadcast to one shape (...) and solve
-all samples at once; a sample on which the scalar call would raise gets
-NaN values.
+Solvers return one complex array whose leading axis is the sheet of the
+square or cube root: rows "+" then "-" for the quadratics, the three roots
+in order for the cubic; every root substitutes back to a residual at
+rounding level.  The quadratic solvers also take parameter arrays
+broadcast to one shape (...) and solve all samples at once, giving roots
+of shape (2, ...); a sample on which the scalar call would raise gets NaN
+values.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .core import (
     DegenerateCubic,
     DegenerateQuadratic,
     InvalidParameter,
-    ParamVector,
     SingularBranch,
     ToleranceConfig,
     torus_draws,
@@ -43,14 +43,6 @@ from .spectra import poly_roots
 
 PARAM_NAMES_4 = "abcd"
 PARAM_NAMES_8 = "abcdefgh"
-
-
-@dataclass(frozen=True)
-class SolutionBranch:
-    """One closed-form or numeric root of a constraint, labelled by sheet."""
-
-    branch_label: str
-    value: complex
 
 
 def _stack_nonzero(**params):
@@ -77,9 +69,10 @@ def _quadratic_branches(name, lead, lin, const, shape):
     The coefficients come as a stack, a single sample as a stack of one:
     numpy's scalar arithmetic rounds differently from the array loops of a
     stack, and a sample's roots must not depend on whether it came alone.
-    The roots take the sample `shape`, () for a single sample.  The
-    numerator of larger modulus gives its root directly; the other root,
-    whose numerator would cancel, is const/lead over the first.
+    Returns the roots "+" and "-" as rows, shape (2,) + `shape`, with
+    `shape` () for a single sample.  The numerator of larger modulus gives
+    its root directly; the other root, whose numerator would cancel, is
+    const/lead over the first.
     """
     if shape == () and lead.item() == 0:
         raise DegenerateQuadratic(f"quadratic in {name!r} has vanishing leading coefficient")
@@ -87,9 +80,7 @@ def _quadratic_branches(name, lead, lin, const, shape):
     plus = abs(-lin + root) >= abs(-lin - root)
     big = -lin + np.where(plus, root, -root)
     direct, other = big / (2.0 * lead), 2.0 * const / big
-    first, second = (v.reshape(shape)[()] for v in (
-        np.where(plus, direct, other), np.where(plus, other, direct)))
-    return SolutionBranch("+", first), SolutionBranch("-", second)
+    return np.where(plus, [direct, other], [other, direct]).reshape((2,) + shape)
 
 
 # ----------------------------------------------------------------- order 4
@@ -100,20 +91,21 @@ def c4_residual(a, b, c, d) -> complex:
     return (b * c + a * d) * (a * c - b * d)
 
 
-# the pairs whose products each branch equates: a*c = b*d kills the factor
-# a*c - b*d, and a*d = -b*c kills b*c + a*d
-_C4_PAIRS = {"+": ("ac", "bd"), "-": ("ad", "bc")}
+# the pairs whose products branches "+" and "-" equate: a*c = b*d kills the
+# factor a*c - b*d, and a*d = -b*c kills b*c + a*d
+_C4_PAIRS = (("ac", "bd"), ("ad", "bc"))
 
 
 # numpy flags the complex division of a NaN sample as invalid
 @np.errstate(invalid="ignore")
-def c4_branches(unknown: str, **given) -> list[SolutionBranch]:
+def c4_branches(unknown: str, **given) -> np.ndarray:
     """Both closed-form branches for one unknown of the order-4 constraint.
 
     On branch "+" (a*c = b*d) the unknown is the product of the other pair
     over its partner, on branch "-" (a*d = -b*c) minus that; e.g. solving
-    for a gives a = b*d/c and a = -b*c/d.  Parameter arrays give value
-    arrays, NaN where a scalar call would raise.
+    for a gives a = b*d/c and a = -b*c/d.  Returns the values "+" and "-"
+    as rows, shape (2, ...) for parameter arrays of shape (...), NaN where
+    a scalar call would raise.
     """
     if unknown not in PARAM_NAMES_4:
         raise InvalidParameter(f"unknown must be one of {PARAM_NAMES_4!r}")
@@ -122,13 +114,12 @@ def c4_branches(unknown: str, **given) -> list[SolutionBranch]:
         raise InvalidParameter(f"expected values for {names}, got {sorted(given)}")
     x = _stack_nonzero(**given)
     g = dict(zip(given, x.tolist() if x.ndim == 1 else np.moveaxis(x, -1, 0)))
-    branches = []
-    for label, pairs in _C4_PAIRS.items():
+    values = []
+    for minus, pairs in enumerate(_C4_PAIRS):
         own, other = pairs if unknown in pairs[0] else pairs[::-1]
         p, q = (g[n] for n in other)
-        value = (-p if label == "-" else p) * q / g[own.replace(unknown, "")]
-        branches.append(SolutionBranch(label, value))
-    return branches
+        values.append((-p if minus else p) * q / g[own.replace(unknown, "")])
+    return np.stack(values)
 
 
 # ------------------------------------------------- cyclic-ratio constraints
@@ -276,20 +267,19 @@ def c6_solve_quadratic(unknown: str, **given):
 
 
 def c6_solve_cubic(unknown: str, tol: ToleranceConfig = DEFAULT_TOL, **given):
-    """All three roots of the reduced condition in d or e, numerically.
+    """All three roots of the reduced condition in d or e, sorted by real part, then imaginary.
 
-    Its leading coefficient is -a*b*c in d and a*b*c in e.
+    Its leading coefficient is -a*b*c in d and a*b*c in e.  Every coefficient
+    scales as s**3 with a, b and c, so DegenerateCubic is raised once the
+    leading one falls to tau_entry times the largest in modulus.
     """
     if unknown not in ("d", "e"):
         raise InvalidParameter("cubic unknowns are 'd' and 'e'")
     coeffs = _reduced_coefficients(unknown, **given)
-    if abs(coeffs[-1]) <= tol.tau_entry:
+    if abs(coeffs[-1]) <= tol.tau_entry * np.abs(coeffs).max():
         raise DegenerateCubic(f"cubic in {unknown!r} has a vanishing leading term")
     roots = poly_roots(coeffs, tol)
-    return [
-        SolutionBranch(str(i + 1), complex(r))
-        for i, r in enumerate(sorted(roots, key=lambda z: (z.real, z.imag)))
-    ]
+    return roots[np.lexsort((roots.imag, roots.real))]
 
 
 def hu_residual(b, c, d, e) -> complex:
@@ -328,16 +318,25 @@ def c8_reduced_residual(a, b, c, d, e, f, g) -> complex:
 
 @dataclass(frozen=True)
 class NumericSolveReport:
-    """Outcome of the order-8 numeric search: solutions plus diagnostics."""
+    """Outcome of the order-8 numeric search: solutions plus diagnostics.
 
-    solutions: tuple
+    `solutions` holds one solution per row, all eight parameters a..h,
+    shape (n, 8); the report is true when n > 0.
+    """
+
+    solutions: np.ndarray
     restarts: int
     converged: int
     rejected_degenerate: int
     no_convergence: int
 
     def __bool__(self):
-        return bool(self.solutions)
+        return len(self.solutions) > 0
+
+    def __eq__(self, other):
+        # field by field: == on two solution arrays compares elementwise
+        return isinstance(other, NumericSolveReport) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 def _newton_steps(jac, r):
@@ -393,7 +392,9 @@ def c8_numeric_solve(
     that leaves 1e-10 <= |x| <= 1e8.  Solutions converging onto a zero
     coordinate parametrise degenerate matrices and are discarded.  The
     others are isolated roots, generically off the torus: their matrices
-    are inverse orthogonal but not Hadamard.  An empty solution list with a
+    are inverse orthogonal but not Hadamard.  They come as the rows of one
+    (n, 8) array, in the order of the restarts that found them; a solution
+    within 1e-7 (max-abs) of an earlier row is dropped.  No rows with a
     positive no_convergence count is the infeasibility diagnostic, not an
     error.  A negative `restarts` or `max_iter` raises InvalidParameter.
     """
@@ -456,14 +457,14 @@ def c8_numeric_solve(
         active = active[(mag.max(axis=1) <= 1e8) & (mag.min(axis=1) >= 1e-10)]
 
     degenerate = ok & (np.abs(x).min(axis=1) < 1e-3)
-    solutions = []
-    for k in np.flatnonzero(ok & ~degenerate):
-        full = point.copy()
-        full[free] = x[k]
-        if not any(np.max(np.abs(full - s.values)) < 1e-7 for s in solutions):
-            solutions.append(ParamVector("M8", full))
+    found = full(x[ok & ~degenerate])
+    near = np.abs(found[:, None] - found).max(axis=-1) < 1e-7
+    kept = []
+    for k in range(len(found)):
+        if not near[k, kept].any():
+            kept.append(k)
     degenerate = int(degenerate.sum())
     converged = int(ok.sum()) - degenerate
     return NumericSolveReport(
-        tuple(solutions), restarts, converged, degenerate, restarts - converged - degenerate
+        found[kept], restarts, converged, degenerate, restarts - converged - degenerate
     )

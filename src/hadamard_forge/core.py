@@ -10,7 +10,7 @@ their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -66,25 +66,6 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
-
-
-@dataclass(frozen=True)
-class ParamVector:
-    """Ordered nonzero parameters of a matrix family, with torus flags."""
-
-    family: str
-    values: tuple
-    on_torus: tuple = field(default=())
-
-    def __post_init__(self):
-        vals = tuple(complex(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if any(v == 0 or not np.isfinite(v) for v in vals):
-            raise InvalidParameter("family parameters must be finite and nonzero")
-        flags = self.on_torus or tuple(
-            abs(abs(v) - 1.0) <= DEFAULT_TOL.tau_entry for v in vals
-        )
-        object.__setattr__(self, "on_torus", tuple(bool(f) for f in flags))
 
 
 # numpy's SeedSequence hash constants and PCG64's multiplier

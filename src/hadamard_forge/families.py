@@ -27,6 +27,8 @@ from .constraints import _stack_nonzero, c4_branches, c6_solve_f, c6_solve_quadr
 
 _I = 1j
 _SQ2 = np.sqrt(2.0)
+# the labels of a quadratic's two roots, in the order its solvers return them
+_SHEETS = ("+", "-")
 
 
 def _block_form(params, negacyclic=False) -> np.ndarray:
@@ -46,9 +48,7 @@ def m4(a, b, c, d) -> np.ndarray:
 
 def _m4_branch(unknown, branch, **given) -> np.ndarray:
     """m4 with `unknown` solved on one branch of the order-4 constraint."""
-    (value,) = (br.value for br in c4_branches(unknown, **given)
-                if br.branch_label == branch)
-    return m4(**given, **{unknown: value})
+    return m4(**given, **{unknown: c4_branches(unknown, **given)[_SHEETS.index(branch)]})
 
 
 def h4(b, c, d) -> np.ndarray:
@@ -170,19 +170,17 @@ def m6_standard(a, b, c, d, e, f) -> np.ndarray:
 
 
 def m6_branch_points(b, c, d, e):
-    """The four (a, f) points of the family over (b, c, d, e).
+    """The four (a, f) points of the family over (b, c, d, e), as arrays (a, f).
 
-    a comes from the reduced quadratic, f from the first constraint.
-    Yields (a_label, f_label, a, f) in the order a+ f+, a+ f-, a- f+,
-    a- f-; raises SingularBranch before the first point where the
-    a-quadratic collapses.  Parameter arrays give a and f arrays, NaN at
-    the samples where a scalar call would raise.
+    a comes from the reduced quadratic, f from the first constraint.  Both
+    arrays have a trailing axis of 4 in the order a+ f+, a+ f-, a- f+,
+    a- f-: shape (4,) for scalars, (..., 4) for parameter arrays of shape
+    (...), NaN at the samples where a scalar call would raise.  A scalar
+    call raises SingularBranch where the a-quadratic collapses.
     """
-    a_branches = c6_solve_quadratic("a", b=b, c=c, d=d, e=e)
-    f_branches = c6_solve_f(np.stack([abr.value for abr in a_branches]), b, c, d, e)
-    for i, abr in enumerate(a_branches):
-        for fbr in f_branches:
-            yield abr.branch_label, fbr.branch_label, abr.value, fbr.value[i]
+    a = c6_solve_quadratic("a", b=b, c=c, d=d, e=e)
+    f = c6_solve_f(a, b, c, d, e).swapaxes(0, 1).reshape((4,) + a.shape[1:])
+    return np.moveaxis(a.repeat(2, axis=0), 0, -1), np.moveaxis(f, 0, -1)
 
 
 def m6_from_branches(b, c, d, e, a_branch="+", f_branch="+"):
@@ -192,10 +190,12 @@ def m6_from_branches(b, c, d, e, a_branch="+", f_branch="+"):
     when the solved a and f land on the torus, which happens on a large
     region of torus (b, c, d, e) but not everywhere.
     """
-    for abr, fbr, a, f in m6_branch_points(b, c, d, e):
-        if (abr, fbr) == (a_branch, f_branch):
-            return m6(a, b, c, d, e, f), a, f
-    raise InvalidParameter(f"branches are '+' and '-', got a{a_branch} f{f_branch}")
+    # solved first, so that a bad parameter is reported before a bad label
+    a, f = m6_branch_points(b, c, d, e)
+    if a_branch not in _SHEETS or f_branch not in _SHEETS:
+        raise InvalidParameter(f"branches are '+' and '-', got a{a_branch} f{f_branch}")
+    i = 2 * _SHEETS.index(a_branch) + _SHEETS.index(f_branch)
+    return m6(a[..., i], b, c, d, e, f[..., i]), a[..., i], f[..., i]
 
 
 def _d6_family(c, d, e, sign):
@@ -253,10 +253,11 @@ def m8(a, b, c, d, e, f, g, h) -> np.ndarray:
 
 def m8_from_h_branch(a, b, c, d, e, f, g, h_branch="+"):
     """Order-8 matrix with h solved from the first constraint."""
-    for br in c8_solve_h(a, b, c, d, e, f, g):
-        if br.branch_label == h_branch:
-            return m8(a, b, c, d, e, f, g, br.value), br.value
-    raise InvalidParameter(f"branches are '+' and '-', got h{h_branch}")
+    h = c8_solve_h(a, b, c, d, e, f, g)  # before the label, as in m6_from_branches
+    if h_branch not in _SHEETS:
+        raise InvalidParameter(f"branches are '+' and '-', got h{h_branch}")
+    h = h[_SHEETS.index(h_branch)]
+    return m8(a, b, c, d, e, f, g, h), h
 
 
 def double(A, B, diag=None, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

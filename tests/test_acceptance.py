@@ -150,9 +150,9 @@ def test_criterion_06_cubic_point_with_octic_spectrum():
             (1 - 1j) / SQ2, -(1 - 1j) / SQ2,
         ]
         combos = 0
-        for ebr in c6_solve_cubic("e", a=a, b=b, c=c, d=d):
-            for fbr in c6_solve_f(a, b, c, d, ebr.value):
-                M = m6(a, b, c, d, ebr.value, fbr.value)
+        for e in c6_solve_cubic("e", a=a, b=b, c=c, d=d):
+            for f in c6_solve_f(a, b, c, d, e):
+                M = m6(a, b, c, d, e, f)
                 assert is_hadamard(M)
                 assert multiset_match(spectrum(M), expected, 1e-8)
                 combos += 1
@@ -167,9 +167,9 @@ def test_criterion_07_cubic_point_matching_dephased_sextic():
         reference = spectrum(bf_dephased(bf_quartic_roots()[0]))
         assert multiset_match(reference, target, 1e-8)
         combos = 0
-        for dbr in c6_solve_cubic("d", a=a, b=b, c=c, e=e):
-            for fbr in c6_solve_f(a, b, c, dbr.value, e):
-                M = m6(a, b, c, dbr.value, e, fbr.value)
+        for d in c6_solve_cubic("d", a=a, b=b, c=c, e=e):
+            for f in c6_solve_f(a, b, c, d, e):
+                M = m6(a, b, c, d, e, f)
                 sp = spectrum(M)
                 assert multiset_match(sp, target, 1e-8)
                 assert multiset_match(sp, reference, 1e-8)
@@ -299,15 +299,15 @@ def test_criterion_12iii_branch_soundness():
                 unknown = "abcd"[done % 4]
                 names = [n for n in "abcd" if n != unknown]
                 given = dict(zip(names, phases(rng, 3)))
-                for br in c4_branches(unknown, **given):
+                for value in c4_branches(unknown, **given):
                     params = dict(given)
-                    params[unknown] = br.value
+                    params[unknown] = value
                     assert abs(c4_residual(**params)) <= 1e-9
             elif kind == 1:
                 a, b, c, d, e = phases(rng, 5)
-                for br in c6_solve_f(a, b, c, d, e):
+                for value in c6_solve_f(a, b, c, d, e):
                     assert abs(
-                        c6_residuals(a, b, c, d, e, br.value)[0]
+                        c6_residuals(a, b, c, d, e, value)[0]
                     ) <= 1e-9
             elif kind == 2:
                 unknown = "abc"[done % 3]
@@ -318,14 +318,14 @@ def test_criterion_12iii_branch_soundness():
                 except SingularBranch:
                     done += 1
                     continue
-                for br in branches:
+                for value in branches:
                     params = dict(given)
-                    params[unknown] = br.value
+                    params[unknown] = value
                     assert abs(c6_reduced_residual(**params)) <= 1e-9
             else:
                 p = phases(rng, 7)
-                for br in c8_solve_h(*p):
-                    assert abs(c8_residuals(*p, br.value)[0]) <= 1e-9
+                for value in c8_solve_h(*p):
+                    assert abs(c8_residuals(*p, value)[0]) <= 1e-9
             done += 1
 
 
@@ -340,16 +340,16 @@ def test_criterion_12iv_pair_elimination_locus():
             if on_locus:
                 b, c, d, e = phases(rng, 4)
                 try:
-                    abr = c6_solve_quadratic("a", b=b, c=c, d=d, e=e)
+                    roots = c6_solve_quadratic("a", b=b, c=c, d=d, e=e)
                 except SingularBranch:
                     continue
-                a = abr[done % 2].value
+                a = roots[done % 2]
             else:
                 a, b, c, d, e = phases(rng, 5)
             reduced_vanishes = abs(c6_reduced_residual(a, b, c, d, e)) <= 1e-8 * scale
             subs = [
-                abs(c6_residuals(a, b, c, d, e, br.value)[1])
-                for br in c6_solve_f(a, b, c, d, e)
+                abs(c6_residuals(a, b, c, d, e, value)[1])
+                for value in c6_solve_f(a, b, c, d, e)
             ]
             both_vanish = max(subs) <= 1e-8 * scale * max(1.0, abs(a)) ** 2
             assert reduced_vanishes == both_vanish
@@ -380,6 +380,6 @@ def test_criterion_13_unreproducible_counts_covered_by_machinery():
         # search is the supported path and verifies its own solutions
         report8 = c8_numeric_solve(dict(zip("abcde", [1.0] * 5)), seed=5,
                                    restarts=8)
-        assert report8.solutions
-        for vec in report8.solutions:
-            assert orthogonality_residual(m8(*vec.values)) <= 1e-8
+        assert report8
+        for x in report8.solutions:
+            assert orthogonality_residual(m8(*x)) <= 1e-8

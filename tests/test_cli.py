@@ -590,6 +590,37 @@ class TestSolve:
         assert run(capsys, "solve", "6", "--unknown", "z", "--values", "0")[0] == EXIT_USAGE
         assert run(capsys, "solve", "6", "--unknown", "f", "--values", "0")[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize("order, unknown, names", [
+        ("4", "ab", "a b c d"),
+        ("4", "abcd", "a b c d"),
+        ("6", "ef", "a b c d e f"),
+        ("6", "bc", "a b c d e f"),
+    ])
+    def test_unknown_must_be_one_name_of_the_order(self, capsys, order, unknown, names):
+        # a run of names is not one name, though it is a substring of them
+        code, out, err = run(capsys, "solve", order, "--unknown", unknown,
+                             "--values", "0,0,0,0")
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: order {order} solves one unknown among {names}\n"
+
+    def test_cubic_roots_do_not_depend_on_the_scale_of_a_b_c(self, capsys):
+        code, scaled, _ = run(capsys, "solve", "6", "--unknown", "d",
+                              "--values", "1e-4+0i,1e-4i,-1e-4+0i,1+0i")
+        assert code == EXIT_OK
+        code, unscaled, _ = run(capsys, "solve", "6", "--unknown", "d",
+                                "--values", "1+0i,1i,-1+0i,1+0i")
+        values = [complex(line.split()[2][len("value="):].replace("i", "j"))
+                  for text in (scaled, unscaled)
+                  for line in text.splitlines() if line.startswith("branch d")]
+        assert len(values) == 6
+        assert np.allclose(values[:3], values[3:], rtol=0, atol=1e-12)
+
+    def test_cubic_with_a_leading_term_lost_to_rounding_is_a_constraint_failure(self, capsys):
+        code, out, err = run(capsys, "solve", "6", "--unknown", "d",
+                             "--values", "1+0i,1i,-1+0i,1e5+0i")
+        assert code == EXIT_CONSTRAINT and out == ""
+        assert err == "error: cubic in 'd' has a vanishing leading term\n"
+
 
 class TestSweep:
     @pytest.mark.parametrize("order, samples, seed, hits, distinct", [
@@ -684,10 +715,9 @@ class TestSweep:
         solve = families.m6_branch_points
 
         def spoiled(b, c, d, e):
-            for abr, fbr, a, f in solve(b, c, d, e):
-                a, f = a.copy(), f.copy()
-                a[0], f[1] = 0, np.inf
-                yield abr, fbr, a, f
+            a, f = (x.copy() for x in solve(b, c, d, e))
+            a[0], f[1] = 0, np.inf
+            return a, f
 
         monkeypatch.setattr(families, "m6_branch_points", spoiled)
         assert len(full) == 20

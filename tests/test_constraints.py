@@ -9,8 +9,8 @@ from hadamard_forge import (
     DEFAULT_TOL,
     DegenerateQuadratic,
     InvalidParameter,
+    DegenerateCubic,
     NumericSolveReport,
-    ParamVector,
     SingularBranch,
     c4_branches,
     c4_residual,
@@ -233,22 +233,22 @@ class TestOrder4:
 
     def test_branch_values_for_a(self):
         branches = c4_branches("a", b=1, c=1j, d=-1j)
-        values = sorted((br.value.real, br.value.imag) for br in branches)
+        values = sorted((value.real, value.imag) for value in branches)
         assert np.allclose(values, [(-1.0, 0.0), (1.0, 0.0)])
 
     def test_each_branch_zeroes_the_constraint(self, rng):
         for unknown in "abcd":
             names = [n for n in "abcd" if n != unknown]
             given = dict(zip(names, random_phases(rng, 3)))
-            for br in c4_branches(unknown, **given):
+            for value in c4_branches(unknown, **given):
                 params = dict(given)
-                params[unknown] = br.value
+                params[unknown] = value
                 assert abs(c4_residual(**params)) < 1e-12
 
     def test_torus_closed(self, rng):
         given = dict(zip("abc", random_phases(rng, 3)))
-        for br in c4_branches("d", **given):
-            assert abs(abs(br.value) - 1.0) < 1e-12
+        for value in c4_branches("d", **given):
+            assert abs(abs(value) - 1.0) < 1e-12
 
     def test_zero_input_rejected(self):
         with pytest.raises(InvalidParameter):
@@ -259,13 +259,11 @@ class TestOrder4:
             names = [n for n in "abcd" if n != unknown]
             given = dict(zip(names, random_phases(rng, 3 * 6).reshape(3, 6)))
             given[names[1]][2] = 0
-            for br in c4_branches(unknown, **given):
-                assert np.isnan(br.value[2])
+            for sheet, value in enumerate(c4_branches(unknown, **given)):
+                assert np.isnan(value[2])
                 for k in (0, 1, 3, 4, 5):
-                    (alone,) = (a.value for a in c4_branches(
-                        unknown, **{n: v[k] for n, v in given.items()})
-                        if a.branch_label == br.branch_label)
-                    assert abs(br.value[k] - alone) <= 1e-15
+                    alone = c4_branches(unknown, **{n: v[k] for n, v in given.items()})[sheet]
+                    assert abs(value[k] - alone) <= 1e-15
 
 
 class TestOrder6Residuals:
@@ -298,28 +296,27 @@ class TestOrder6Residuals:
 class TestOrder6SolveF:
     def test_unit_point(self):
         branches = c6_solve_f(1, 1, 1, 1, 1)
-        vals = sorted(br.value.real for br in branches)
+        vals = sorted(value.real for value in branches)
         assert np.allclose(vals, [-2 - SQ3, -2 + SQ3])
-        labels = {br.branch_label for br in branches}
-        assert labels == {"+", "-"}
+        assert branches.shape == (2,)
 
     def test_back_substitution(self, rng):
         for _ in range(10):
             a, b, c, d, e = random_phases(rng, 5)
-            for br in c6_solve_f(a, b, c, d, e):
-                res = c6_residuals(a, b, c, d, e, br.value)
+            for value in c6_solve_f(a, b, c, d, e):
+                res = c6_residuals(a, b, c, d, e, value)
                 assert abs(res[0]) < 1e-12
 
     def test_vieta_product(self, rng):
         # product of roots = constant/lead = d*e
         a, b, c, d, e = random_phases(rng, 5)
         fp, fm = c6_solve_f(a, b, c, d, e)
-        assert abs(fp.value * fm.value - d * e) < 1e-12
+        assert abs(fp * fm - d * e) < 1e-12
 
     def test_mixed_point_residuals(self):
         a, b, c, d, e = 1, 1, 1j, np.exp(1j * np.pi / 4), -1
-        for br in c6_solve_f(a, b, c, d, e):
-            assert abs(c6_residuals(a, b, c, d, e, br.value)[0]) < 1e-12
+        for value in c6_solve_f(a, b, c, d, e):
+            assert abs(c6_residuals(a, b, c, d, e, value)[0]) < 1e-12
 
     def test_vieta_product_for_a_small_a(self, rng):
         # |a| = 1e-5 puts the roots 1e5 apart in modulus; the small root
@@ -327,16 +324,15 @@ class TestOrder6SolveF:
         for _ in range(20):
             a, b, c, d, e = random_phases(rng, 5)
             fp, fm = c6_solve_f(1e-5 * a, b, c, d, e)
-            assert abs(fp.value * fm.value - d * e) < 1e-12
+            assert abs(fp * fm - d * e) < 1e-12
 
     def test_stack_gives_nan_where_a_scalar_call_raises(self, rng):
         a, b, c, d, e = random_phases(rng, (5, 4))
         a[1], a[2], a[3] = 0, np.nan, np.inf
         scalar = c6_solve_f(a[0], b[0], c[0], d[0], e[0])
-        for br, one in zip(c6_solve_f(a, b, c, d, e), scalar):
-            assert br.branch_label == one.branch_label
-            assert abs(br.value[0] - one.value) <= 1e-12 * abs(one.value)
-            assert np.isnan(br.value[1:]).all()
+        for value, one in zip(c6_solve_f(a, b, c, d, e), scalar, strict=True):
+            assert abs(value[0] - one) <= 1e-12 * abs(one)
+            assert np.isnan(value[1:]).all()
         with pytest.raises(InvalidParameter):
             c6_solve_f(a[1], b[1], c[1], d[1], e[1])
 
@@ -347,16 +343,16 @@ class TestOrder6Quadratic:
             names = sorted(set("abcde") - {unknown})
             for _ in range(10):
                 given = dict(zip(names, random_phases(rng, 4)))
-                for br in c6_solve_quadratic(unknown, **given):
+                for value in c6_solve_quadratic(unknown, **given):
                     params = dict(given)
-                    params[unknown] = br.value
+                    params[unknown] = value
                     assert abs(c6_reduced_residual(**params)) < 1e-10
 
     def test_vieta_product(self, rng):
         # constant/lead = b*c for unknown a
         b, c, d, e = random_phases(rng, 4)
         ap, am = c6_solve_quadratic("a", b=b, c=c, d=d, e=e)
-        assert abs(ap.value * am.value - b * c) < 1e-10
+        assert abs(ap * am - b * c) < 1e-10
 
     def test_matches_direct_quadratic_roots(self, rng):
         # independent route: numpy companion roots of the same quadratic
@@ -366,7 +362,7 @@ class TestOrder6Quadratic:
         const = b * c * d * e * (b * e - c * d)
         direct = sorted(np.roots([lead, lin, const]), key=lambda z: (z.real, z.imag))
         mine = sorted(
-            (br.value for br in c6_solve_quadratic("a", b=b, c=c, d=d, e=e)),
+            c6_solve_quadratic("a", b=b, c=c, d=d, e=e),
             key=lambda z: (z.real, z.imag),
         )
         assert np.allclose(direct, mine)
@@ -382,17 +378,16 @@ class TestOrder6Quadratic:
             c, d, e = random_phases(rng, 3)
             b = c * d / e * np.exp(1e-6j)
             ap, am = c6_solve_quadratic("a", b=b, c=c, d=d, e=e)
-            assert abs(ap.value * am.value - b * c) < 1e-7
+            assert abs(ap * am - b * c) < 1e-7
 
     def test_stack_gives_nan_where_a_scalar_call_raises(self, rng):
         b, c, d, e = random_phases(rng, (4, 5))
         b[1] = c[1] * d[1] / e[1]  # singular: b*e = c*d
         c[2], d[3], e[4] = 0, np.nan, np.inf
         scalar = c6_solve_quadratic("a", b=b[0], c=c[0], d=d[0], e=e[0])
-        for br, one in zip(c6_solve_quadratic("a", b=b, c=c, d=d, e=e), scalar):
-            assert br.branch_label == one.branch_label
-            assert abs(br.value[0] - one.value) <= 1e-12 * abs(one.value)
-            assert np.isnan(br.value[1:]).all()
+        for value, one in zip(c6_solve_quadratic("a", b=b, c=c, d=d, e=e), scalar, strict=True):
+            assert abs(value[0] - one) <= 1e-12 * abs(one)
+            assert np.isnan(value[1:]).all()
         with pytest.raises(SingularBranch):
             c6_solve_quadratic("a", b=b[1], c=c[1], d=d[1], e=e[1])
 
@@ -400,9 +395,9 @@ class TestOrder6Quadratic:
         # on the surface b = -c*d/e the two a-roots satisfy a**2 = c**2*d/e
         c, d, e = random_phases(rng, 3)
         b = -c * d / e
-        for br in c6_solve_quadratic("a", b=b, c=c, d=d, e=e):
-            assert abs(abs(br.value) - 1.0) < 1e-10
-            assert abs(br.value**2 - c * c * d / e) < 1e-10
+        for value in c6_solve_quadratic("a", b=b, c=c, d=d, e=e):
+            assert abs(abs(value) - 1.0) < 1e-10
+            assert abs(value**2 - c * c * d / e) < 1e-10
 
 
 class TestOrder6Cubic:
@@ -411,18 +406,31 @@ class TestOrder6Cubic:
             names = sorted(set("abcde") - {unknown})
             given = dict(zip(names, random_phases(rng, 4)))
             branches = c6_solve_cubic(unknown, **given)
-            assert len(branches) == 3
-            assert {br.branch_label for br in branches} == {"1", "2", "3"}
-            for br in branches:
+            assert branches.shape == (3,)
+            for value in branches:
                 params = dict(given)
-                params[unknown] = br.value
+                params[unknown] = value
                 assert abs(c6_reduced_residual(**params)) < 1e-9
 
     def test_landmark_cubic_in_e(self):
         w = np.exp(2j * np.pi / 3)
         branches = c6_solve_cubic("e", a=1, b=w, c=w * w, d=1)
         # w itself solves e^3 + 3w e^2 - 3w^2 e - 1 = 0
-        assert min(abs(br.value - w) for br in branches) < 1e-10
+        assert min(abs(value - w) for value in branches) < 1e-10
+
+    def test_scaling_a_b_c_leaves_the_roots(self):
+        # every coefficient scales as s**3, so the leading one is judged
+        # against the others, not on an absolute scale
+        unscaled = c6_solve_cubic("d", a=1, b=1j, c=-1, e=1)
+        for s in (1e-8, 1e-4, 1e6):
+            scaled = c6_solve_cubic("d", a=s, b=s * 1j, c=-s, e=1)
+            assert np.allclose(scaled, unscaled, rtol=0, atol=1e-12)
+
+    def test_leading_coefficient_at_rounding_level_is_degenerate(self):
+        # at e = 1e5 the largest coefficient is 1e15 and the leading one,
+        # -a*b*c of modulus 1, is lost to its rounding
+        with pytest.raises(DegenerateCubic):
+            c6_solve_cubic("d", a=1, b=1j, c=-1, e=1e5)
 
 
 class TestPairPathConsistency:
@@ -433,10 +441,9 @@ class TestPairPathConsistency:
                 a_branches = c6_solve_quadratic("a", b=b, c=c, d=d, e=e)
             except SingularBranch:
                 continue
-            for abr in a_branches:
-                a = abr.value
-                for fbr in c6_solve_f(a, b, c, d, e):
-                    res = c6_residuals(a, b, c, d, e, fbr.value)
+            for a in a_branches:
+                for f in c6_solve_f(a, b, c, d, e):
+                    res = c6_residuals(a, b, c, d, e, f)
                     scale = sum(abs(v) for v in (a, b, c, d, e)) ** 6
                     assert abs(res[1]) < 1e-9 * scale
 
@@ -448,8 +455,7 @@ class TestPairPathConsistency:
                 a_branches = c6_solve_quadratic("a", b=b, c=c, d=d, e=e)
             except SingularBranch:
                 continue
-            for abr in a_branches:
-                a = abr.value
+            for a in a_branches:
                 lead = a * b * c * e
                 lin = d * (a * b * c * d + a * b**2 * e + a**2 * c * e + b * c**2 * e)
                 const = a * b * c * d * e**2
@@ -469,8 +475,8 @@ class TestPairPathConsistency:
             if reduced < 1e-2:
                 continue
             second = [
-                abs(c6_residuals(a, b, c, d, e, br.value)[1])
-                for br in c6_solve_f(a, b, c, d, e)
+                abs(c6_residuals(a, b, c, d, e, value)[1])
+                for value in c6_solve_f(a, b, c, d, e)
             ]
             assert min(second) > 1e-8
 
@@ -496,9 +502,10 @@ class TestReducedCoefficients:
                 given = self.given(unknown, random_phases(rng, 4))
                 const, lin, lead = c6_reduced_coefficients(unknown, **given)
                 root = np.sqrt(lin * lin - 4.0 * lead * const)
-                want = {"+": (-lin + root) / (2.0 * lead), "-": (-lin - root) / (2.0 * lead)}
-                for br in c6_solve_quadratic(unknown, **given):
-                    assert abs(br.value - want[br.branch_label]) < 1e-9
+                want = [(-lin + root) / (2.0 * lead), (-lin - root) / (2.0 * lead)]
+                for value, expected in zip(c6_solve_quadratic(unknown, **given), want,
+                                           strict=True):
+                    assert abs(value - expected) < 1e-9
 
     def test_cubic_branch_labels_match_expanded_roots(self, rng):
         for unknown in "de":
@@ -507,8 +514,8 @@ class TestReducedCoefficients:
                 coeffs = c6_reduced_coefficients(unknown, **given)
                 want = sorted(np.roots(coeffs[::-1]), key=lambda z: (z.real, z.imag))
                 got = c6_solve_cubic(unknown, **given)
-                assert [br.branch_label for br in got] == ["1", "2", "3"]
-                assert np.allclose([br.value for br in got], want, rtol=0, atol=1e-8)
+                assert got.shape == (3,)
+                assert np.allclose(got, want, rtol=0, atol=1e-8)
 
     def test_singular_threshold_on_the_torus(self, rng):
         # p*e - q*d of modulus 1e-11 is singular, 1e-9 is not
@@ -531,14 +538,14 @@ class TestOrder8:
 
     def test_solve_h_unit_point(self):
         branches = c8_solve_h(1, 1, 1, 1, 1, 1, 1)
-        vals = sorted(br.value.real for br in branches)
+        vals = sorted(value.real for value in branches)
         assert np.allclose(vals, [-3 - 2 * SQ2, -3 + 2 * SQ2])
 
     def test_back_substitution(self, rng):
         for _ in range(10):
             p = random_phases(rng, 7)
-            for br in c8_solve_h(*p):
-                res = c8_residuals(*p, br.value)
+            for value in c8_solve_h(*p):
+                res = c8_residuals(*p, value)
                 assert abs(res[0]) < 1e-10
 
     def test_reduced_all_ones(self):
@@ -549,14 +556,14 @@ class TestOrder8:
         # on the torus
         a, b, c, d, e, f, g = random_phases(rng, 7)
         hp, hm = c8_solve_h(a, b, c, d, e, f, g)
-        assert abs(hp.value * hm.value - e * g) < 1e-10
+        assert abs(hp * hm - e * g) < 1e-10
 
     def test_reduced_matches_pair_substitution_modulus(self, rng):
         # |third(h+) * third(h-)| equals |reduced|**2 on the torus
         for _ in range(20):
             p = random_phases(rng, 7)
             prod = np.prod(
-                [c8_residuals(*p, br.value)[2] for br in c8_solve_h(*p)]
+                [c8_residuals(*p, value)[2] for value in c8_solve_h(*p)]
             )
             reduced = c8_reduced_residual(*p)
             assert abs(abs(prod) - abs(reduced) ** 2) < 1e-8 * max(1.0, abs(prod))
@@ -706,11 +713,11 @@ def sequential_search(fixed, seed, restarts):
     for k in np.flatnonzero(ok & ~degenerate):
         full = point.copy()
         full[free] = x[k]
-        if not any(np.max(np.abs(full - s.values)) < 1e-7 for s in solutions):
-            solutions.append(ParamVector("M8", full))
+        if not any(np.max(np.abs(full - s)) < 1e-7 for s in solutions):
+            solutions.append(full)
     converged = int(ok.sum() - degenerate.sum())
-    return NumericSolveReport(tuple(solutions), restarts, converged, int(degenerate.sum()),
-                              restarts - int(ok.sum()))
+    return NumericSolveReport(np.array(solutions, dtype=complex).reshape(-1, 8), restarts,
+                              converged, int(degenerate.sum()), restarts - int(ok.sum()))
 
 
 def _random_fixings(count):
@@ -745,7 +752,11 @@ class TestOrder8Numeric:
         report = c8_numeric_solve(fixed, seed=seed, restarts=restarts)
         ours = stacks.copy()
         stacks.clear()
-        assert report == sequential_search(fixed, seed, restarts)
+        reference = sequential_search(fixed, seed, restarts)
+        for field in ("restarts", "converged", "rejected_degenerate", "no_convergence"):
+            assert getattr(report, field) == getattr(reference, field)
+        assert report.solutions.shape == reference.solutions.shape
+        assert report.solutions.tobytes() == reference.solutions.tobytes()
         assert len(ours) == len(stacks)
         for got, want in zip(ours, stacks):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -799,16 +810,33 @@ class TestOrder8Numeric:
         report = c8_numeric_solve(
             dict(zip("abcde", [1.0] * 5)), seed=5, restarts=12
         )
-        assert report.solutions
+        assert report
         t = -3 + 2 * SQ2
         found_collapse = False
-        for vec in report.solutions:
-            M = m8(*vec.values)
+        for x in report.solutions:
+            M = m8(*x)
             assert orthogonality_residual(M) < 1e-8
-            f, g, h = vec.values[5:]
+            f, g, h = x[5:]
             if max(abs(f - t), abs(g - t), abs(h - t)) < 1e-6:
                 found_collapse = True
         assert found_collapse
+
+    def test_solutions_are_one_array_in_restart_order(self):
+        report = c8_numeric_solve(SOLVE8_FIXING, seed=2, restarts=16)
+        n = len(report.solutions)
+        assert report.solutions.dtype == complex and report.solutions.shape == (n, 8)
+        assert bool(report) is (n > 0) and n > 1
+        assert report == report
+        for j in range(n):
+            for k in range(j):
+                assert np.max(np.abs(report.solutions[j] - report.solutions[k])) > 1e-7
+        # restart k does not depend on the later ones, so the first k
+        # restarts find a prefix of the rows, in the same order
+        for k in range(16):
+            head = c8_numeric_solve(SOLVE8_FIXING, seed=2, restarts=k).solutions
+            assert head.tobytes() == report.solutions[:len(head)].tobytes()
+        empty = c8_numeric_solve(SOLVE8_FIXING, seed=2, restarts=0)
+        assert empty.solutions.shape == (0, 8) and bool(empty) is False
 
     def test_deterministic_for_fixed_seed(self):
         fixed = dict(zip("abcde", [1.0] * 5))
@@ -816,23 +844,23 @@ class TestOrder8Numeric:
         r2 = c8_numeric_solve(fixed, seed=11, restarts=6)
         assert len(r1.solutions) == len(r2.solutions)
         for v1, v2 in zip(r1.solutions, r2.solutions):
-            assert np.allclose(v1.values, v2.values)
+            assert np.allclose(v1, v2)
 
     def test_generic_fixing_yields_orthogonal_points(self, rng):
         # solutions exist off the torus; the assembled matrix is inverse
         # orthogonal even though it is not Hadamard
         fixed = dict(zip("abcde", random_phases(rng, 5)))
         report = c8_numeric_solve(fixed, seed=3, restarts=8)
-        assert report.solutions
-        for vec in report.solutions:
-            assert orthogonality_residual(m8(*vec.values)) < 1e-8
+        assert report
+        for x in report.solutions:
+            assert orthogonality_residual(m8(*x)) < 1e-8
 
     def test_infeasible_fixing_reports_diagnostics(self, rng):
         # three equations in a single unknown are overdetermined: no h
         # satisfies all of them for generic torus values
         fixed = dict(zip("abcdefg", random_phases(rng, 7)))
         report = c8_numeric_solve(fixed, seed=3, restarts=8)
-        assert not report.solutions
+        assert not report
         assert report.no_convergence == report.restarts
         assert (
             report.rejected_degenerate + report.no_convergence + report.converged
@@ -850,11 +878,11 @@ class TestOrder8Numeric:
         report = c8_numeric_solve(fixed, seed=seed)
         assert counts == (report.restarts, report.converged, report.rejected_degenerate,
                           report.no_convergence, len(report.solutions))
-        for vec in report.solutions:
-            assert orthogonality_residual(m8(*vec.values)) < 1e-8
+        for x in report.solutions:
+            assert orthogonality_residual(m8(*x)) < 1e-8
         if seed == 1:
-            for vec, fgh in zip(report.solutions, SOLVE8_SEED1_FGH, strict=True):
-                assert np.max(np.abs(np.subtract(vec.values[5:], fgh))) < 1e-7
+            for x, fgh in zip(report.solutions, SOLVE8_SEED1_FGH, strict=True):
+                assert np.max(np.abs(np.subtract(x[5:], fgh))) < 1e-7
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -870,10 +898,10 @@ class TestOrder8Numeric:
         assert (report.converged + report.rejected_degenerate
                 + report.no_convergence == report.restarts == restarts)
         assert len(report.solutions) <= report.converged
-        for vec in report.solutions:
-            assert orthogonality_residual(m8(*vec.values)) < 1e-8
+        for x in report.solutions:
+            assert orthogonality_residual(m8(*x)) < 1e-8
             for n, v in fixed.items():
-                assert vec.values["abcdefgh".index(n)] == v
+                assert x["abcdefgh".index(n)] == v
 
     def test_rejects_underdetermined_fixing(self):
         with pytest.raises(InvalidParameter):
@@ -893,7 +921,8 @@ class TestOrder8Numeric:
             c8_numeric_solve(SOLVE8_FIXING, **option)
 
     def test_zero_restarts_give_an_empty_report(self):
-        assert c8_numeric_solve(SOLVE8_FIXING, restarts=0) == NumericSolveReport((), 0, 0, 0, 0)
+        assert c8_numeric_solve(SOLVE8_FIXING, restarts=0) == NumericSolveReport(
+            np.empty((0, 8), dtype=complex), 0, 0, 0, 0)
 
 
 class TestBranchSoundnessSweep:
@@ -907,14 +936,14 @@ class TestBranchSoundnessSweep:
                 given = dict(
                     zip((n for n in "abcd" if n != unknown), random_phases(rng, 3))
                 )
-                for br in c4_branches(unknown, **given):
+                for value in c4_branches(unknown, **given):
                     params = dict(given)
-                    params[unknown] = br.value
+                    params[unknown] = value
                     assert abs(c4_residual(**params)) < 1e-9
             elif kind == 1:
                 a, b, c, d, e = random_phases(rng, 5)
-                for br in c6_solve_f(a, b, c, d, e):
-                    assert abs(c6_residuals(a, b, c, d, e, br.value)[0]) < 1e-9
+                for value in c6_solve_f(a, b, c, d, e):
+                    assert abs(c6_residuals(a, b, c, d, e, value)[0]) < 1e-9
             elif kind == 2:
                 unknown = "abc"[checked % 3]
                 names = sorted(set("abcde") - {unknown})
@@ -924,12 +953,12 @@ class TestBranchSoundnessSweep:
                 except SingularBranch:
                     checked += 1
                     continue
-                for br in branches:
+                for value in branches:
                     params = dict(given)
-                    params[unknown] = br.value
+                    params[unknown] = value
                     assert abs(c6_reduced_residual(**params)) < 1e-9
             else:
                 p = random_phases(rng, 7)
-                for br in c8_solve_h(*p):
-                    assert abs(c8_residuals(*p, br.value)[0]) < 1e-9
+                for value in c8_solve_h(*p):
+                    assert abs(c8_residuals(*p, value)[0]) < 1e-9
             checked += 1

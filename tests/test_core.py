@@ -378,20 +378,6 @@ class TestEquivalenceCertificate:
             permutation_matrix([0, 0, 1])
 
 
-class TestParamVector:
-    def test_torus_flags_inferred(self):
-        from hadamard_forge import ParamVector
-
-        vec = ParamVector("M4", (1j, 2.0))
-        assert vec.on_torus == (True, False)
-
-    def test_zero_rejected(self):
-        from hadamard_forge import ParamVector
-
-        with pytest.raises(InvalidParameter):
-            ParamVector("M4", (0.0, 1.0))
-
-
 def default_rng_rows(seed, count, k):
     """The rows torus_draws stands for: one Generator per row."""
     rows = [np.exp(2j * np.pi * np.random.default_rng([seed, i]).random(k))

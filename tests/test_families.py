@@ -334,10 +334,9 @@ class TestM6:
 
     def test_branch_points_feed_from_branches(self, rng):
         b, c, d, e = random_phases(rng, 4)
-        points = list(m6_branch_points(b, c, d, e))
-        assert [(abr, fbr) for abr, fbr, _, _ in points] == [
-            ("+", "+"), ("+", "-"), ("-", "+"), ("-", "-")]
-        for abr, fbr, a, f in points:
+        points = m6_branch_points(b, c, d, e)
+        assert [x.shape for x in points] == [(4,), (4,)]
+        for (abr, fbr), a, f in zip(["++", "+-", "-+", "--"], *points, strict=True):
             M, aval, fval = m6_from_branches(b, c, d, e, abr, fbr)
             assert (aval, fval) == (a, f)
             assert np.array_equal(M, m6(a, b, c, d, e, f))
@@ -363,18 +362,17 @@ class TestM6:
         b, c, d, e = np.exp(1j * np.array([angles for angles, _ in rows])).T
         forced = np.array([flag for _, flag in rows])
         b = np.where(forced, c * d / e, b)  # b*e = c*d, where the a-quadratic collapses
-        stacked = list(m6_branch_points(b, c, d, e))
+        sa, sf = m6_branch_points(b, c, d, e)
         for i in range(len(rows)):
             try:
-                points = list(m6_branch_points(b[i], c[i], d[i], e[i]))
+                a, f = m6_branch_points(b[i], c[i], d[i], e[i])
             except SingularBranch:
-                assert all(np.isnan(a[i]) and np.isnan(f[i]) for _, _, a, f in stacked)
+                assert np.isnan(sa[i]).all() and np.isnan(sf[i]).all()
                 continue
             assert not forced[i]
-            assert [p[:2] for p in points] == [p[:2] for p in stacked]
-            for (_, _, a, f), (_, _, sa, sf) in zip(points, stacked):
-                assert abs(sa[i] - a) <= 1e-12 * abs(a)
-                assert abs(sf[i] - f) <= 1e-12 * abs(f)
+            assert sa.shape == sf.shape == (len(rows), 4) and a.shape == f.shape == (4,)
+            assert np.all(np.abs(sa[i] - a) <= 1e-12 * np.abs(a))
+            assert np.all(np.abs(sf[i] - f) <= 1e-12 * np.abs(f))
 
 
 class TestFourBranchLandmark:
@@ -527,10 +525,10 @@ def equal_order_hadamards(draw):
         if family == "h4":
             return h4(b, c, d)
         try:
-            points = list(m6_branch_points(b, c, d, e))
+            points = zip(*m6_branch_points(b, c, d, e))
         except SingularBranch:
             points = []
-        hits = [M for M in (m6(a, b, c, d, e, f) for *_, a, f in points) if is_hadamard(M)]
+        hits = [M for M in (m6(a, b, c, d, e, f) for a, f in points) if is_hadamard(M)]
         assume(hits)
         return draw(st.sampled_from(hits))
 
