@@ -310,16 +310,16 @@ def cmd_equiv(args) -> int:
         raise CliError(
             f"order mismatch: {A.shape[0]} vs {B.shape[0]}", EXIT_USAGE
         )
-    _print_spectrum("spectrum A", A, tol)
-    _print_spectrum("spectrum B", B, tol)
-    same = spectra.unitary_equivalent(A, B, tol)
+    values = spectra.spectrum(A), spectra.spectrum(B)
+    _print_spectrum("spectrum A", values[0], tol)
+    _print_spectrum("spectrum B", values[1], tol)
+    same = spectra.unitary_equivalent(A, B, tol, values)
     print(f"unitary-equivalent: {str(same).lower()}")
     return EXIT_OK if same else EXIT_FALSE
 
 
-def _print_spectrum(tag, M, tol):
-    shown = " ".join(format_complex(z)
-                     for z in _sorted_for_print(spectra.spectrum(M), tol.tau_spec))
+def _print_spectrum(tag, values, tol):
+    shown = " ".join(format_complex(z) for z in _sorted_for_print(values, tol.tau_spec))
     print(f"{tag}: {shown}")
 
 
@@ -415,7 +415,7 @@ def _solve6(unknowns, values, tol):
         for f_label, f in zip("+-", constraints.c6_solve_f(**params)):
             M = families.m6(**params, f=f)
             _print_branch_matrix(f"with f{f_label}={format_complex(f)}", M, tol)
-            _print_spectrum("      spectrum", M, tol)
+            _print_spectrum("      spectrum", spectra.spectrum(M), tol)
     return EXIT_OK
 
 

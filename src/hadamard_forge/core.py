@@ -10,6 +10,7 @@ their inputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -70,22 +71,61 @@ DEFAULT_TOL = ToleranceConfig()
 
 # numpy's SeedSequence hash constants and PCG64's multiplier
 _HASH_A, _MULT_A, _HASH_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_PCG_MULT, _M64, _M128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_B32, _LOW32 = np.uint64(32), np.uint64(0xFFFFFFFF)
+
+
+@functools.cache
+def _hash_constants(at, count, init, mult):
+    """SeedSequence's hash constants init * mult**j for j = at .. at + count, as uint32."""
+    h = np.uint32([init * pow(mult, j, 2**32) % 2**32 for j in range(at, at + count + 1)])
+    h.flags.writeable = False
+    return h
 
 
 def _hashmix(rows, at, init=_HASH_A, mult=_MULT_A):
     """SeedSequence's hashmix of each of the uint32 `rows`, with hash constants at, at+1, ..."""
-    h = np.uint32([init * pow(mult, j, 2**32) % 2**32 for j in range(at, at + len(rows) + 1)])
+    h = _hash_constants(at, len(rows), init, mult)
     v = (rows ^ h[:-1, None]) * h[1:, None]
     return v ^ v >> np.uint32(16)
+
+
+def _words128(x):
+    """The 128-bit integers x as uint64 arrays (hi, lo), read-only."""
+    hi, lo = np.uint64([[v >> 64 for v in x], [v & 2**64 - 1 for v in x]])
+    hi.flags.writeable = lo.flags.writeable = False
+    return hi, lo
+
+
+def _mul128(ah, al, bh, bl):
+    """(ah, al) * (bh, bl) mod 2**128 on uint64 word pairs, from 32-bit partial products."""
+    a1, a0, b1, b0 = al >> _B32, al & _LOW32, bl >> _B32, bl & _LOW32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _B32) + (p01 & _LOW32) + (p10 & _LOW32)
+    hi = a1 * b1 + (p01 >> _B32) + (p10 >> _B32) + (mid >> _B32) + ah * bl + al * bh
+    return hi, mid << _B32 | p00 & _LOW32
+
+
+@functools.cache
+def _pcg_jumps(k):
+    """Constants (A, C) with PCG64's state before draw j = A_j*init + C_j*inc, j = 1..k.
+
+    Seeding steps twice, from state 0 with init added after the first step,
+    so the state before draw j is MULT**(j+1) * init + (sum of MULT**t for
+    t < j + 2) * inc, all mod 2**128.
+    """
+    A = [pow(_PCG_MULT, j + 1, 2**128) for j in range(1, k + 1)]
+    C = [sum(pow(_PCG_MULT, t, 2**128) for t in range(j + 2)) % 2**128 for j in range(1, k + 1)]
+    return _words128(A) + _words128(C)
 
 
 def torus_draws(seed: int, count: int, k: int) -> np.ndarray:
     """The (count, k) array whose row i is exp(2j*pi*default_rng([seed, i]).random(k)).
 
     Equal bit for bit: SeedSequence's pool mixing runs on uint32 arrays over
-    all i at once, then PCG64 is seeded and stepped on Python ints.  Raises
-    InvalidParameter for a negative seed.
+    all i at once, then each row's PCG64 states of all k draws come from one
+    jump-ahead multiply-add of 128-bit numbers held as uint64 word pairs.
+    Raises InvalidParameter for a negative seed.
     """
     if int(seed) < 0:
         raise InvalidParameter(f"seed must be non-negative, got {seed}")
@@ -96,19 +136,22 @@ def torus_draws(seed: int, count: int, k: int) -> np.ndarray:
     pool, used = _hashmix(entropy[:4], 0), 4
     for src in range(len(entropy)):  # each pool word into the others, then entropy past 4
         dst = [j for j in range(4) if j != src]
-        word = np.tile(pool[src] if src < 4 else entropy[src], (len(dst), 1))
+        word = np.broadcast_to(pool[src] if src < 4 else entropy[src], (len(dst), count))
         v = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * _hashmix(word, used)
         pool[dst], used = v ^ v >> np.uint32(16), used + len(dst)
     w = _hashmix(pool[[0, 1, 2, 3] * 2], 0, _HASH_B, _MULT_B).astype(np.uint64)
-    q = (w[1::2] << np.uint64(32) | w[::2]).astype(object)
-    init, inc = q[0] << 64 | q[1], q[2] << 65 | q[3] << 1 | 1
-    state = (inc + init) * _PCG_MULT + inc & _M128
-    out = np.empty((count, k), dtype=object)
-    for j in range(k):
-        state = state * _PCG_MULT + inc & _M128
-        x, rot = (state >> 64 ^ state) & _M64, state >> 122
-        out[:, j] = (x >> rot | x << 64 - rot) & _M64
-    return np.exp(2j * np.pi * ((out >> 11).astype(float) * 2.0**-53))
+    # PCG64 seeds from the words q: init = (q0, q1), inc = 2*(q2, q3) + 1
+    q = (w[1::2] << _B32 | w[::2])[:, :, None]
+    one = np.uint64(1)
+    ah, al, ch, cl = _pcg_jumps(k)
+    sh, sl = _mul128(q[0], q[1], ah, al)
+    th, tl = _mul128(q[2] << one | q[3] >> np.uint64(63), q[3] << one | one, ch, cl)
+    lo = sl + tl
+    hi = sh + th + (lo < sl)
+    # XSL-RR output: hi ^ lo rotated right by the top six bits of the state
+    x, rot = hi ^ lo, hi >> np.uint64(58)
+    out = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
+    return np.exp(2j * np.pi * ((out >> np.uint64(11)).astype(float) * 2.0**-53))
 
 
 def as_stack(M) -> np.ndarray:
@@ -208,6 +251,24 @@ def assemble_sylvester(A, B) -> np.ndarray:
     M[..., n:, :n] = _finite_inv_transpose(B)
     M[..., n:, n:] = -_finite_inv_transpose(A)
     return M
+
+
+@functools.cache
+def _sylvester_table(k, negacyclic=False) -> np.ndarray:
+    """Index table that takes the row (r1, r2, 1/r2, -1/r1) to the Sylvester form.
+
+    r1 and r2 are the first rows of the k x k (nega)circulant blocks A and
+    B; taking the table from the row along its last axis gives the (2k, 2k)
+    matrix assemble_sylvester(A, B).  With the negacyclic twist the row is
+    followed by its negation, which the entries that wrap round index.
+    """
+    i, j = np.indices((k, k))
+    upper, lower = (j - i) % k, (i - j) % k
+    table = np.block([[upper, k + upper], [2 * k + lower, 3 * k + lower]])
+    if negacyclic:
+        table += 4 * k * np.block([[j < i, j < i], [i < j, i < j]])
+    table.flags.writeable = False
+    return table
 
 
 # an overflowed reciprocal makes the residual inf or NaN, never finite

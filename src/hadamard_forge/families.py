@@ -18,7 +18,7 @@ from .core import (
     InvalidParameter,
     SingularBranch,
     ToleranceConfig,
-    assemble_sylvester,
+    _sylvester_table,
     circulant,
     dephase,
     is_hadamard,
@@ -32,11 +32,27 @@ _SHEETS = ("+", "-")
 
 
 def _block_form(params, negacyclic=False) -> np.ndarray:
-    """Block form of the two (nega)circulant blocks whose first rows halve `params`."""
-    rows = np.stack(np.broadcast_arrays(*params), axis=-1)
+    """Block form of the two (nega)circulant blocks whose first rows halve `params`.
+
+    Equal bit for bit to assemble_sylvester of the two blocks, but one take
+    of the Sylvester table from each matrix's first rows and their 2k
+    reciprocals, where the assembled blocks invert 2k**2 entries.
+    """
+    rows = np.stack(np.broadcast_arrays(*params), axis=-1, dtype=complex)
+    if np.any(rows == 0) or not np.all(np.isfinite(rows)):
+        raise InvalidParameter("circulant entries must be finite and nonzero")
     k = rows.shape[-1] // 2
-    return assemble_sylvester(circulant(rows[..., :k], negacyclic),
-                              circulant(rows[..., k:], negacyclic))
+    # a subnormal entry's reciprocal overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = 1.0 / rows
+    if not np.all(np.isfinite(inv)):
+        raise InvalidParameter("entries must have finite reciprocals")
+    row = np.concatenate((rows, inv[..., k:], -inv[..., :k]), axis=-1)
+    if negacyclic:
+        # a finite 1/(-z) equals -(1/z) bit for bit, so negating the
+        # reciprocals equals inverting the negated block entries
+        row = np.concatenate((row, -row), axis=-1)
+    return row.take(_sylvester_table(k, negacyclic), axis=-1)
 
 
 # ----------------------------------------------------------------- order 4
@@ -202,21 +218,25 @@ def _d6_family(c, d, e, sign):
     c, d, e = complex(c), complex(d), complex(e)
     if 0 in (c, d, e):
         raise InvalidParameter("family parameters must be nonzero")
-    r1 = np.sqrt(c**4 * d**5 * e + 0j)
-    r2 = np.sqrt(-(c**6) * d**6 / e**2 + 0j)
-    if r1 == 0 or r2 == 0:
-        raise SingularBranch("nested radical vanished; family undefined here")
-    b = -c * d / e
-    for flip in (1.0, -1.0):
-        a = -sign * flip * r1 / (c * d * d * e)
-        f = sign * flip * e * e * r2 / (c * r1)
+    try:
+        r1 = np.sqrt(c**4 * d**5 * e + 0j)
+        r2 = np.sqrt(-(c**6) * d**6 / e**2 + 0j)
+        if r1 == 0 or r2 == 0:
+            raise SingularBranch("nested radical vanished; family undefined here")
+        b = -c * d / e
+        # (a, f) on both radical signs, the principal one first
+        points = [(-sign * flip * r1 / (c * d * d * e), sign * flip * e * e * r2 / (c * r1))
+                  for flip in (1.0, -1.0)]
+    except (ZeroDivisionError, OverflowError) as exc:
+        # Python's complex arithmetic raises where a power underflows to zero or overflows
+        raise InvalidParameter(f"family parameters out of floating-point range: {exc}") from None
+    for a, f in points:
         M = m6(a, b, c, d, e, f)
         if is_hadamard(M):
             return M
     # phases off the torus never verify; return the principal-branch matrix
-    return m6(
-        -sign * r1 / (c * d * d * e), b, c, d, e, sign * e * e * r2 / (c * r1)
-    )
+    (a, f), _ = points
+    return m6(a, b, c, d, e, f)
 
 
 def d61_family(c, d, e) -> np.ndarray:

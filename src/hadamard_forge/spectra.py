@@ -31,6 +31,7 @@ from .core import (
     NotReciprocal,
     RootFindingFailure,
     ToleranceConfig,
+    _sylvester_table,
     as_matrix,
     as_stack,
 )
@@ -132,7 +133,8 @@ def poly_roots(coeffs, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     cluster refinement: a clump of m nearly equal roots is replaced by the
     nearby simple root of the (m-1)-th derivative when the backward error
     confirms a genuine m-fold root.  Raises RootFindingFailure for
-    non-finite coefficients, a root with |p(root)| > tau_root * scale, or a
+    non-finite coefficients, a companion matrix whose eigenvalues numpy
+    cannot compute, a root with |p(root)| > tau_root * scale, or a
     multiset with max|c[-1] * prod(x - root) - c| > tau_root * max|c|.
     """
     if not np.isfinite(coeffs).all():
@@ -140,7 +142,13 @@ def poly_roots(coeffs, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     c = trim(coeffs)
     if len(c) < 2:
         raise InvalidDimensions("root finding needs degree >= 1")
-    roots = _merge_clusters(c, polyroots(c))
+    # an overflowed companion-matrix entry makes eigvals raise
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            roots = polyroots(c)
+    except np.linalg.LinAlgError as exc:
+        raise RootFindingFailure(f"companion-matrix eigenvalues failed: {exc}") from None
+    roots = _merge_clusters(c, roots)
     worst = max(
         abs(complex(polyval(r, c))) / _coeff_scale(c, r) for r in roots
     )
@@ -293,11 +301,14 @@ def circulant_block_spectrum(M) -> np.ndarray:
     m = A.shape[-1]
     if m < 2 or m % 2:
         raise InvalidDimensions(f"circulant blocks need an even order, got {m}")
-    blocks = A.reshape(A.shape[:-2] + (2, m // 2, 2, m // 2))
-    if not np.array_equal(np.roll(blocks, 1, axis=(-3, -1)), blocks):
+    k = m // 2
+    table, first = _sylvester_table(k), A[..., [0, k], :]
+    # rows 0 and k hold each entry of the row the table takes from once
+    row = np.empty(A.shape[:-2] + (2 * m,), dtype=complex)
+    row[..., table[[0, k]]] = first
+    if not np.array_equal(row.take(table, axis=-1), A):
         raise InvalidDimensions("the four blocks are not circulant")
-    # pocketfft is about ten times slower on the strided view of the first rows
-    sym = np.fft.ifft(np.ascontiguousarray(blocks[..., 0, :, :]), norm="forward") / np.sqrt(m)
+    sym = np.fft.ifft(first.reshape(A.shape[:-2] + (2, 2, k)), norm="forward") / np.sqrt(m)
     (alpha, beta), (gamma, delta) = np.moveaxis(sym, (-3, -2), (0, 1))
     mean, root = (alpha + delta) / 2, np.sqrt(((alpha - delta) / 2) ** 2 + beta * gamma)
     return _lexsorted(np.concatenate((mean + root, mean - root), axis=-1))
@@ -324,17 +335,20 @@ def distinct_spectra(spectra, tol: float) -> list:
     """Row indices of the representatives of the spectra (N, m), in order.
 
     Each row, in order, becomes a representative unless multiset_match
-    accepts it against an earlier one.  Representatives are filed by the
-    complex sum of their values in square cells of _cell_width, and only
-    the 3x3 cells around a spectrum's own can hold a match, so the result
-    equals comparing with every representative.  When the width is not a
+    accepts it against an earlier one.  Spectra are filed by the complex
+    sum of their values in square cells of _cell_width, and only the 3x3
+    cells around a spectrum's own can hold a match, so the result equals
+    comparing with every representative.  When the width is not a
     positive finite number, or a sum is not finite, all spectra share one
     cell and every representative is compared.
 
-    A numpy step first tests each row against the first one of each of its
-    3x3 cells: rows sorted as by spectrum and within tol position by
-    position match, as in-order pairing is a bijection; a pass against a
-    representative decides.
+    A row with no earlier row in its 3x3 cells is a representative, found
+    in one numpy step; only the other, crowded rows are visited in order.
+    Each is first tested against the first row of each of its 3x3 cells:
+    rows sorted as by spectrum and within tol position by position match,
+    as in-order pairing is a bijection, so a pass against a representative
+    decides.  Otherwise the crowded row goes to multiset_match against the
+    earlier representatives in its 3x3 cells.
     """
     values = np.asarray(spectra, dtype=complex)
     if values.ndim != 2:
@@ -351,17 +365,20 @@ def distinct_spectra(spectra, tol: float) -> list:
     # pairs of a spectrum b and the first spectrum a of one of its 3x3 cells
     b, j = np.nonzero(occupied[at] == around)
     a = first[at[b, j]]
+    earlier = a < b
     # tol less a few ulps, as numpy's and Python's abs may round apart; inf - inf fails
     twin = (np.abs(values[a] - values[b]) <= tol * (1 - 8 * np.finfo(float).eps)).all(axis=-1)
-    twin &= a < b
-    leader = dict(zip(b[twin].tolist(), a[twin].tolist()))
-    cells, reps = {}, set()
-    for n, cs in enumerate(around.tolist()):
-        if leader.get(n) not in reps and not any(multiset_match(values[n], values[r], tol)
-                                                 for c in cs for r in cells.get(c, ())):
-            cells.setdefault(cs[4], []).append(n)
-            reps.add(n)
-    return sorted(reps)
+    leader = np.full(len(values), -1)
+    leader[b[twin & earlier]] = a[twin & earlier]
+    crowded = np.zeros(len(values), dtype=bool)
+    crowded[b[earlier]] = True
+    rep, leader = (~crowded).tolist(), leader.tolist()
+    for n in np.flatnonzero(crowded).tolist():
+        if leader[n] >= 0 and rep[leader[n]]:
+            continue
+        near = np.flatnonzero(np.isin(cell[:n], around[n])).tolist()
+        rep[n] = not any(rep[r] and multiset_match(values[n], values[r], tol) for r in near)
+    return np.flatnonzero(rep).tolist()
 
 
 def is_normal(M, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -372,11 +389,12 @@ def is_normal(M, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return float(np.max(np.abs(A @ H - H @ A))) <= tol.tau_entry * A.shape[0]
 
 
-def unitary_equivalent(M1, M2, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def unitary_equivalent(M1, M2, tol: ToleranceConfig = DEFAULT_TOL, spectra=None) -> bool:
     """Spectral equivalence of normal matrices: equal spectra of M/sqrt(m).
 
-    Raises NotNormal for non-normal input, where equality of spectra does
-    not decide similarity.
+    `spectra`, when given, is the pair (spectrum(M1), spectrum(M2)) that the
+    caller has already computed.  Raises NotNormal for non-normal input,
+    where equality of spectra does not decide similarity.
     """
     A1 = as_matrix(M1)
     A2 = as_matrix(M2)
@@ -384,4 +402,5 @@ def unitary_equivalent(M1, M2, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         raise InvalidDimensions("matrices must share an order")
     if not is_normal(A1, tol) or not is_normal(A2, tol):
         raise NotNormal("spectral equivalence needs normal matrices")
-    return multiset_match(spectrum(A1), spectrum(A2), tol.tau_spec)
+    s1, s2 = (spectrum(A1), spectrum(A2)) if spectra is None else spectra
+    return multiset_match(s1, s2, tol.tau_spec)

@@ -25,6 +25,7 @@ from hadamard_forge import (
 from hadamard_forge.cli import (
     EXIT_CONSTRAINT,
     EXIT_FALSE,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
@@ -466,6 +467,16 @@ class TestEquiv:
         assert code == EXIT_OK
         assert "unitary-equivalent: true" in out
 
+    def test_each_matrix_is_diagonalised_once(self, tmp_path, capsys, monkeypatch):
+        pa = write_matrix(tmp_path / "a.json", d81())
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda *args: calls.append(1) or eigvals(*args))
+        code, out, _ = run(capsys, "equiv", pa, pa)
+        assert code == EXIT_OK and out.endswith("unitary-equivalent: true\n")
+        assert len(calls) == 2
+
     def test_order_mismatch(self, tmp_path, capsys):
         from hadamard_forge import h4a
 
@@ -517,6 +528,13 @@ class TestSubnormalParameters:
         code, out, err = run(capsys, "gen", "m4", "--params", "1e-320+0i,1,1,1")
         assert (code, out) == (EXIT_CONSTRAINT, "")
         assert err == "error: construction failed: entries must have finite reciprocals\n"
+
+    def test_d61f_whose_power_underflows_is_a_construction_failure(self, capsys):
+        # e**2 = -1e-400 underflows to zero, and Python's complex division raises
+        code, out, err = run(capsys, "gen", "d61f", "--params=1e-320,1,1e-200i")
+        assert (code, out) == (EXIT_CONSTRAINT, "")
+        assert err.startswith("error: construction failed: family parameters out of "
+                              "floating-point range")
 
     def test_h4a_residual_is_not_finite(self, capsys):
         code, out, err = run(capsys, "gen", "h4a", "--params", "1e-320+0i")
@@ -620,6 +638,12 @@ class TestSolve:
                              "--values", "1+0i,1i,-1+0i,1e5+0i")
         assert code == EXIT_CONSTRAINT and out == ""
         assert err == "error: cubic in 'd' has a vanishing leading term\n"
+
+    def test_cubic_whose_companion_matrix_overflows_is_a_numeric_failure(self, capsys):
+        code, out, err = run(capsys, "solve", "6", "--unknown", "e",
+                             "--values=1e-5,1e-320,1e-320+0i,1e-320+0i")
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert err.startswith("numeric failure: companion-matrix eigenvalues failed")
 
 
 class TestSweep:

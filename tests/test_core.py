@@ -394,6 +394,8 @@ class TestTorusDraws:
     @example(seed=2**32 - 1, count=3, k=4)
     @example(seed=2**32, count=3, k=4)
     @example(seed=2**96, count=3, k=4)
+    @example(seed=5, count=0, k=4)
+    @example(seed=2**64 + 1, count=3, k=4)
     def test_rows_equal_default_rng_bit_for_bit(self, seed, count, k):
         got = torus_draws(seed, count, k)
         assert got.shape == (count, k)

@@ -7,6 +7,7 @@ from hadamard_forge import (
     InvalidParameter,
     SingularBranch,
     a6,
+    assemble_sylvester,
     b6,
     bf,
     bf_dephased,
@@ -14,6 +15,7 @@ from hadamard_forge import (
     c6_residuals,
     c8_residuals,
     char_poly,
+    circulant,
     d6,
     d61,
     d61_family,
@@ -47,6 +49,7 @@ from hadamard_forge import (
     unimodularity_deviation,
     unitary_equivalent,
 )
+from hadamard_forge.families import _block_form
 from conftest import assert_spectrum, random_phases
 
 SQ2 = np.sqrt(2.0)
@@ -303,6 +306,40 @@ class TestBF:
     def test_not_equivalent_to_dephased(self):
         d1 = bf_quartic_roots()[0]
         assert not unitary_equivalent(bf(d1), bf_dephased(d1))
+
+
+# real and imaginary parts: signed zeros, units, a subnormal whose
+# reciprocal overflows, and general values
+BLOCK_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-320]) | st.floats(-1e3, 1e3)
+BLOCK_ENTRIES = st.builds(complex, BLOCK_PARTS, BLOCK_PARTS)
+
+
+class TestBlockForm:
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.sampled_from([2, 3, 4]), negacyclic=st.booleans(), data=st.data())
+    def test_equals_assembled_circulant_blocks_bit_for_bit(self, k, negacyclic, data):
+        n = data.draw(st.integers(1, 4))
+        rows = np.array(data.draw(st.lists(BLOCK_ENTRIES, min_size=n * 2 * k,
+                                           max_size=n * 2 * k))).reshape(n, 2 * k)
+        try:
+            want = assemble_sylvester(circulant(rows[:, :k], negacyclic),
+                                      circulant(rows[:, k:], negacyclic))
+        except InvalidParameter as exc:
+            with pytest.raises(InvalidParameter) as raised:
+                _block_form(tuple(rows.T), negacyclic)
+            assert str(raised.value) == str(exc)
+        else:
+            assert _block_form(tuple(rows.T), negacyclic).tobytes() == want.tobytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(BLOCK_ENTRIES)
+    def test_finite_reciprocal_of_a_negation_is_the_negated_reciprocal(self, z):
+        # the negacyclic block form negates reciprocals where the blocks
+        # invert negated entries
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            got, want = -(1.0 / np.complex128(z)), 1.0 / -np.complex128(z)
+        if np.isfinite(want):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestM6:

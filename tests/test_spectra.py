@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyder, polyval
 
@@ -440,9 +440,28 @@ def spectrum_lists(draw):
     return _lexsorted(np.array(spectra)), tol
 
 
+def crowded_leader_cases():
+    """Rows 1 and 2 share a cell next to row 0's, so row 1 leads row 2 and is crowded.
+
+    Row 1 misses row 0 by 5e-8 in the imaginary parts and is a
+    representative, which row 2 is a twin of; or row 1 is a twin of row 0,
+    and row 2 is a twin of row 1 only, so that multiset_match decides that
+    row 2 is new.  The sums of rows 0 and 1 lie on either side of a cell
+    edge.
+    """
+    base = np.array([-0.6 + 0.8j, 0.6 + 0.8j])
+    r0 = base - 0.2e-8
+    apart = base + [0.2e-8 + 5e-8j, 0.2e-8 - 5e-8j]
+    twin = base + 0.2e-8
+    return [(np.array([r0, apart, apart + 0.1e-8]), 1e-8),
+            (np.array([r0, twin, twin + 0.7e-8]), 1e-8)]
+
+
 class TestDistinctSpectra:
     @settings(max_examples=150, deadline=None)
     @given(spectrum_lists())
+    @example(crowded_leader_cases()[0])
+    @example(crowded_leader_cases()[1])
     def test_window_equals_exhaustive_scan(self, case):
         spectra, tol = case
         assert distinct_spectra(spectra, tol) == first_match_scan(spectra, tol)
@@ -512,6 +531,23 @@ class TestDistinctSpectra:
         # window at most one per spectrum; every twin passes the in-order test
         assert len(calls) <= len(spectra)
         assert len(calls) == 0
+
+    @pytest.mark.parametrize("case, reps", zip(crowded_leader_cases(), [[0, 1], [0, 2]]))
+    def test_a_crowded_leader_decides_or_defers_to_the_matcher(self, monkeypatch, case, reps):
+        spectra, tol = case
+        width = _cell_width(spectra, tol)
+        cells = np.floor(spectra.sum(axis=-1).real / width)
+        assert cells[0] + 1 == cells[1] == cells[2]
+        calls = []
+
+        def counted(a, b, tol):
+            calls.append(1)
+            return multiset_match(a, b, tol)
+
+        monkeypatch.setattr(spectra_module, "multiset_match", counted)
+        assert distinct_spectra(spectra, tol) == first_match_scan(spectra, tol) == reps
+        # row 1 against row 0 in the first case, row 2 against row 0 in the second
+        assert len(calls) == 1
 
     def test_matching_spectra_sorted_apart_go_to_the_matcher(self, monkeypatch):
         # real parts within tol: lexsort puts a's upper value first, b's lower
@@ -659,11 +695,21 @@ class TestCirculantBlockSpectrum:
         assert multiset_match(circulant_block_spectrum(M), spectrum(M), 1e-12)
 
     def test_blocks_that_are_not_circulant_are_rejected(self, rng):
-        nudged = m6(*random_phases(rng, 6))
-        nudged[4, 2] += 1e-12
-        for M in (d6(), d61(), double(a6(), b6()), nudged, np.eye(5), np.eye(1)):
+        for M in (d6(), d61(), double(a6(), b6()), np.eye(5), np.eye(1)):
             with pytest.raises(InvalidDimensions):
                 circulant_block_spectrum(M)
+
+    @pytest.mark.parametrize("build, m", [(m6, 6), (m8, 8)])
+    def test_one_entry_off_in_any_block_is_rejected(self, rng, build, m):
+        M = build(*random_phases(rng, m))
+        circulant_block_spectrum(M)
+        for i, j in itertools.product(range(m), repeat=2):
+            nudged = M.copy()
+            nudged[i, j] += 1e-12
+            with pytest.raises(InvalidDimensions):
+                circulant_block_spectrum(nudged)
+            with pytest.raises(InvalidDimensions):
+                circulant_block_spectrum(np.stack([M, nudged]))
 
 
 class TestNonFiniteNeverPasses:
