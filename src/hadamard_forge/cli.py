@@ -451,37 +451,49 @@ _SWEEP_PHASES = {4: 3, 6: 4, 8: 6}
 
 
 def _sweep_matrices(order, seed, samples):
-    """Every matrix a sweep samples, in sample order, as one (N, m, m) stack.
+    """Every matrix a sweep 4 or 8 samples, in sample order, as one (N, m, m) stack.
 
     Sample i draws its torus phases from default_rng([seed, i]), all samples
     at once in core.torus_draws.  Order 4 takes h4 and h44, order 8 one d8a,
-    each one call for all samples.  Order 6 takes the four (a±, f±) points
-    of the family, solved for all samples in one pass; a singular
-    a-quadratic, or an a or f that is zero or not finite, gives no matrix.
+    each one call for all samples.
     """
     draws = core.torus_draws(seed, samples, _SWEEP_PHASES[order])
     if order == 4:
         return np.stack([families.h4(*draws.T), families.h44(*draws.T)], axis=1).reshape(-1, 4, 4)
-    if order == 8:
-        return families.d8a(*draws.T)
-    b, c, d, e = draws.T
+    return families.d8a(*draws.T)
+
+
+def _sweep_rows(seed, samples):
+    """The block rows of every m6 a sweep 6 samples, in sample order, as one (N, 12) array.
+
+    Sample i draws its torus phases as in _sweep_matrices and gives the four
+    (a+-, f+-) points of the family, solved for all samples in one pass; a
+    singular a-quadratic, or an a or f that is zero or not finite, gives no
+    row.
+    """
+    b, c, d, e = core.torus_draws(seed, samples, _SWEEP_PHASES[6]).T
     a, f = (x.ravel() for x in families.m6_branch_points(b, c, d, e))
-    rows = np.array([a, *np.repeat([b, c, d, e], 4, axis=-1), f])
+    params = np.array([a, *np.repeat([b, c, d, e], 4, axis=-1), f])
     keep = np.isfinite(a) & np.isfinite(f) & (a != 0) & (f != 0)
-    return families.m6(*rows[:, keep])
+    return families._block_row(params[:, keep])
 
 
 def cmd_sweep(args) -> int:
     tol = _tolerances(args)
     if args.samples < 1:
         raise CliError("--samples must be >= 1", EXIT_USAGE)
-    stack = _sweep_matrices(args.order, int(args.seed), args.samples)
-    hadamard = stack[core.is_hadamard(stack, tol)]
-    # only sweep 6 samples circulant blocks (m6); h4, h44 and d8a have none
-    spectrum = spectra.circulant_block_spectrum if args.order == 6 else spectra.spectrum
-    reps = spectra.distinct_spectra(spectrum(hadamard), tol.tau_spec)
+    if args.order == 6:
+        # the m6 matrices are never built: their rows decide and give the spectra
+        rows = _sweep_rows(int(args.seed), args.samples)
+        hits = rows[families._block_row_hits(rows, tol)]
+        values = spectra._block_row_spectrum(hits)
+    else:
+        stack = _sweep_matrices(args.order, int(args.seed), args.samples)
+        hits = stack[core.is_hadamard(stack, tol)]
+        values = spectra.spectrum(hits)
+    reps = spectra.distinct_spectra(values, tol.tau_spec)
     print(f"samples: {args.samples}")
-    print(f"hadamard_hits: {len(hadamard)}")
+    print(f"hadamard_hits: {len(hits)}")
     print(f"distinct_spectra: {len(reps)}")
     print(f"seed: {args.seed}")
     return EXIT_OK

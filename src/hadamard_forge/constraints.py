@@ -140,6 +140,21 @@ def _index_tables(k):
     return ahead, others
 
 
+def _ratio_sums(x):
+    """The ratio sums S_s = sum over both blocks of x_j / x_{j+s}, shape (..., k - 1).
+
+    `x` holds both blocks of k parameters along its last axis, shape
+    (..., 2k); column i holds the shift s = k - 1 - i of constraint i + 1.
+    A zero parameter, or a ratio of huge and tiny ones, makes a sum
+    non-finite.  The callers silence those warnings: an errstate costs a
+    few microseconds to enter, and the order-8 search calls this thousands
+    of times.
+    """
+    x = np.asarray(x, dtype=complex)
+    ahead = x[..., _index_tables(x.shape[-1] // 2)[0]]
+    return (x[..., None, :] / ahead).sum(axis=-1)
+
+
 # the search's line search may probe a point with a zero coordinate
 @np.errstate(divide="ignore", invalid="ignore")
 def _cyclic_ratio_residuals_and_jacobian(x):
@@ -160,7 +175,9 @@ def _cyclic_ratio_residuals_and_jacobian(x):
     return prod * ratio_sums, jac
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+# the line search may probe a point with a zero coordinate, and `c8_residuals`
+# of huge and tiny parameters overflows; both give a non-finite value
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _cyclic_ratio_residuals(x):
     """The values of `_cyclic_ratio_residuals_and_jacobian` alone, bit for bit.
 
@@ -168,8 +185,7 @@ def _cyclic_ratio_residuals(x):
     the values at its probes.
     """
     x = np.asarray(x, dtype=complex)
-    ahead = x[..., _index_tables(x.shape[-1] // 2)[0]]
-    return x.prod(axis=-1)[..., None] * (x[..., None, :] / ahead).sum(axis=-1)
+    return x.prod(axis=-1)[..., None] * _ratio_sums(x)
 
 
 def _quadratic_in_last(x, s):

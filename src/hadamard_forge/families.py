@@ -23,7 +23,14 @@ from .core import (
     dephase,
     is_hadamard,
 )
-from .constraints import _stack_nonzero, c4_branches, c6_solve_f, c6_solve_quadratic, c8_solve_h
+from .constraints import (
+    _ratio_sums,
+    _stack_nonzero,
+    c4_branches,
+    c6_solve_f,
+    c6_solve_quadratic,
+    c8_solve_h,
+)
 
 _I = 1j
 _SQ2 = np.sqrt(2.0)
@@ -31,12 +38,11 @@ _SQ2 = np.sqrt(2.0)
 _SHEETS = ("+", "-")
 
 
-def _block_form(params, negacyclic=False) -> np.ndarray:
-    """Block form of the two (nega)circulant blocks whose first rows halve `params`.
+def _block_row(params) -> np.ndarray:
+    """The row (r1, r2, 1/r2, -1/r1) of the two blocks whose first rows halve `params`.
 
-    Equal bit for bit to assemble_sylvester of the two blocks, but one take
-    of the Sylvester table from each matrix's first rows and their 2k
-    reciprocals, where the assembled blocks invert 2k**2 entries.
+    Parameter arrays of one shape (...) give the rows (..., 4k).  Every
+    entry of a block form is one of its row's values, see _sylvester_table.
     """
     rows = np.stack(np.broadcast_arrays(*params), axis=-1, dtype=complex)
     if np.any(rows == 0) or not np.all(np.isfinite(rows)):
@@ -47,12 +53,47 @@ def _block_form(params, negacyclic=False) -> np.ndarray:
         inv = 1.0 / rows
     if not np.all(np.isfinite(inv)):
         raise InvalidParameter("entries must have finite reciprocals")
-    row = np.concatenate((rows, inv[..., k:], -inv[..., :k]), axis=-1)
+    return np.concatenate((rows, inv[..., k:], -inv[..., :k]), axis=-1)
+
+
+def _block_form(params, negacyclic=False) -> np.ndarray:
+    """Block form of the two (nega)circulant blocks whose first rows halve `params`.
+
+    Equal bit for bit to assemble_sylvester of the two blocks, but one take
+    of the Sylvester table from _block_row, where the assembled blocks
+    invert 2k**2 entries.
+    """
+    row = _block_row(params)
+    k = row.shape[-1] // 4
     if negacyclic:
         # a finite 1/(-z) equals -(1/z) bit for bit, so negating the
         # reciprocals equals inverting the negated block entries
         row = np.concatenate((row, -row), axis=-1)
     return row.take(_sylvester_table(k, negacyclic), axis=-1)
+
+
+# with a tau_entry of 1 or more a tiny value passes, and a ratio overflows to
+# an infinite sum that fails the bound
+@np.errstate(over="ignore", invalid="ignore")
+def _block_row_hits(row, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """is_hadamard of the circulant block forms of the rows (N, 4k), from the rows alone.
+
+    The block form M of a row has exactly its values as entries, so both
+    take the same unimodularity deviation.  Circulant blocks commute, so
+    M @ (1/M).T - 2k*I has the zero blocks A@B - B@A and their reciprocal
+    twin off the diagonal, and on it the constraints' ratio sums S_s of
+    every shift s of both blocks: its largest entry is max|S_s|, up to a
+    rounding of order 2k*eps*max(max|x|/min|x|, max|x|**2, 1/min|x|**2),
+    x the row's first 2k values.  A row is a hit when its deviation is at
+    most tau_entry and max|S_s| at most 2k*tau_entry, which decides as
+    is_hadamard of M does except where the residual lies within that
+    rounding of the bound.
+    """
+    row = np.asarray(row, dtype=complex)
+    ok = np.max(np.abs(np.abs(row) - 1.0), axis=-1) <= tol.tau_entry
+    x = row[ok, :row.shape[-1] // 2]
+    ok[ok] = np.abs(_ratio_sums(x)).max(axis=-1) <= tol.tau_entry * x.shape[-1]
+    return ok
 
 
 # ----------------------------------------------------------------- order 4
@@ -224,9 +265,12 @@ def _d6_family(c, d, e, sign):
         if r1 == 0 or r2 == 0:
             raise SingularBranch("nested radical vanished; family undefined here")
         b = -c * d / e
-        # (a, f) on both radical signs, the principal one first
-        points = [(-sign * flip * r1 / (c * d * d * e), sign * flip * e * e * r2 / (c * r1))
-                  for flip in (1.0, -1.0)]
+        # (a, f) on both radical signs, the principal one first; numpy's
+        # scalar arithmetic on an overflowed radical gives a non-finite point,
+        # which m6 rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            points = [(-sign * flip * r1 / (c * d * d * e), sign * flip * e * e * r2 / (c * r1))
+                      for flip in (1.0, -1.0)]
     except (ZeroDivisionError, OverflowError) as exc:
         # Python's complex arithmetic raises where a power underflows to zero or overflows
         raise InvalidParameter(f"family parameters out of floating-point range: {exc}") from None

@@ -289,29 +289,41 @@ def spectrum(M) -> np.ndarray:
     return _lexsorted(np.linalg.eigvals(A))
 
 
-def circulant_block_spectrum(M) -> np.ndarray:
-    """spectrum of M = [[A, B], [C, D]] with circulant k x k blocks, without LAPACK.
+def _block_row_spectrum(row) -> np.ndarray:
+    """spectrum of the circulant block forms of the rows (..., 4k), without LAPACK.
 
     The DFT splits M/sqrt(2k) into k 2x2 blocks [[alpha, beta], [gamma, delta]] of
     the symbols, whose roots (alpha+delta)/2 +- sqrt(((alpha-delta)/2)**2 + beta*gamma)
-    do not cancel like tau**2 - 4*det.  Raises InvalidDimensions unless M has even
-    order and exactly circulant blocks.
+    do not cancel like tau**2 - 4*det.  The symbols are the DFTs of the block
+    form's rows 0 and k, which the Sylvester table takes from the row.
+    """
+    k = row.shape[-1] // 4
+    first = row[..., _sylvester_table(k)[[0, k]]]
+    sym = np.fft.ifft(first.reshape(row.shape[:-1] + (2, 2, k)), norm="forward") / np.sqrt(2 * k)
+    (alpha, beta), (gamma, delta) = np.moveaxis(sym, (-3, -2), (0, 1))
+    mean, root = (alpha + delta) / 2, np.sqrt(((alpha - delta) / 2) ** 2 + beta * gamma)
+    return _lexsorted(np.concatenate((mean + root, mean - root), axis=-1))
+
+
+def circulant_block_spectrum(M) -> np.ndarray:
+    """spectrum of M = [[A, B], [C, D]] with circulant k x k blocks, without LAPACK.
+
+    The symbols' 2x2 eigenproblems of _block_row_spectrum, after a check
+    that M is the block form of a row.  Raises InvalidDimensions unless M
+    has even order and exactly circulant blocks.
     """
     A = as_stack(M)
     m = A.shape[-1]
     if m < 2 or m % 2:
         raise InvalidDimensions(f"circulant blocks need an even order, got {m}")
     k = m // 2
-    table, first = _sylvester_table(k), A[..., [0, k], :]
+    table = _sylvester_table(k)
     # rows 0 and k hold each entry of the row the table takes from once
     row = np.empty(A.shape[:-2] + (2 * m,), dtype=complex)
-    row[..., table[[0, k]]] = first
+    row[..., table[[0, k]]] = A[..., [0, k], :]
     if not np.array_equal(row.take(table, axis=-1), A):
         raise InvalidDimensions("the four blocks are not circulant")
-    sym = np.fft.ifft(first.reshape(A.shape[:-2] + (2, 2, k)), norm="forward") / np.sqrt(m)
-    (alpha, beta), (gamma, delta) = np.moveaxis(sym, (-3, -2), (0, 1))
-    mean, root = (alpha + delta) / 2, np.sqrt(((alpha - delta) / 2) ** 2 + beta * gamma)
-    return _lexsorted(np.concatenate((mean + root, mean - root), axis=-1))
+    return _block_row_spectrum(row)
 
 
 def _cell_width(values, tol: float) -> float:

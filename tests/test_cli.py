@@ -545,6 +545,37 @@ class TestSubnormalParameters:
         assert not np.isfinite(float(meta["residual"]))
 
 
+class TestOverflowIsReportedNotWarned:
+    """An overflow shows in the output or the error line, never as a numpy warning.
+
+    Run as a subprocess, so that stderr holds what a user sees.
+    """
+
+    @staticmethod
+    def _cli(*argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(hadamard_forge.__file__).parents[1]))
+        return subprocess.run([sys.executable, "-m", "hadamard_forge.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_d62f_whose_radical_overflows_is_a_construction_failure(self):
+        proc = self._cli("gen", "d62f", "--params=1e200+0i,1,1")
+        assert (proc.returncode, proc.stdout) == (EXIT_CONSTRAINT, "")
+        assert proc.stderr == ("error: construction failed: circulant entries must be "
+                               "finite and nonzero\n")
+
+    def test_solve8_h_prints_an_overflowed_constraint_as_inf(self):
+        proc = self._cli("solve", "8", "--unknown", "h",
+                         "--values=0.7,2pi,1i,-1/3pi,3,1e-200i,-1i")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert proc.stdout == (
+            "branch h+: value=-9.899924966004456e-201+1.4112000805986714e-201i torus=false "
+            "constraints=(0.000e+00, 0.000e+00, 0.000e+00)\n"
+            "    matrix: residual=1.980e+200 hadamard=false\n"
+            "branch h-: value=0.0-1.0000000000000001e+200i torus=false "
+            "constraints=(1.700e+184, inf, 1.980e+200)\n"
+            "    matrix: residual=inf hadamard=false\n")
+
+
 class TestSolve:
     def test_order6_f_at_unit_point(self, capsys):
         code, out, _ = run(
@@ -733,9 +764,9 @@ class TestSweep:
 
     def test_order6_drops_points_whose_a_or_f_is_zero_or_not_finite(self, monkeypatch):
         from hadamard_forge import families
-        from hadamard_forge.cli import _sweep_matrices
+        from hadamard_forge.cli import _sweep_rows
 
-        full = _sweep_matrices(6, 1, 5)
+        full = _sweep_rows(1, 5)
         solve = families.m6_branch_points
 
         def spoiled(b, c, d, e):
@@ -744,8 +775,8 @@ class TestSweep:
             return a, f
 
         monkeypatch.setattr(families, "m6_branch_points", spoiled)
-        assert len(full) == 20
-        assert np.array_equal(_sweep_matrices(6, 1, 5), full[8:])
+        assert full.shape == (20, 12)
+        assert np.array_equal(_sweep_rows(1, 5), full[8:])
 
     @pytest.mark.parametrize("order, hits, distinct", [
         (4, 400, 400),

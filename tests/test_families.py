@@ -49,7 +49,11 @@ from hadamard_forge import (
     unimodularity_deviation,
     unitary_equivalent,
 )
-from hadamard_forge.families import _block_form
+from hadamard_forge import core
+from hadamard_forge.constraints import _ratio_sums
+from hadamard_forge.core import ToleranceConfig
+from hadamard_forge.families import _block_form, _block_row, _block_row_hits
+from hadamard_forge.spectra import _block_row_spectrum, circulant_block_spectrum
 from conftest import assert_spectrum, random_phases
 
 SQ2 = np.sqrt(2.0)
@@ -340,6 +344,82 @@ class TestBlockForm:
             got, want = -(1.0 / np.complex128(z)), 1.0 / -np.complex128(z)
         if np.isfinite(want):
             assert got.tobytes() == want.tobytes()
+
+
+ANGLES = st.floats(0.0, 2 * np.pi)
+
+
+def unimodular(angle):
+    return np.exp(1j * angle)
+
+
+@st.composite
+def block_row_params(draw, k):
+    """First rows (r1, r2) of two circulant k x k blocks, often of a Hadamard block form.
+
+    A hit for k = 3 is a point of the m6 family; for k = 4 it is r1 =
+    (1, x1, x2, x3) with Re(x0/x2 + x1/x3) = 0, so that S_2(r1) = 0, and
+    r2 = (-1)**j * r1_j, whose S_s is (-1)**s times that of r1, with the
+    blocks scaled by phases and r2 shifted cyclically.  Off the torus every
+    entry, or every entry alike, takes a log-modulus in [-4, 4]; a nudge
+    of the phases by up to 1e-9 moves a hit's residual across the bound.
+    """
+    kind = draw(st.sampled_from(["hit", "torus"]))
+    x = unimodular(np.array(draw(st.lists(ANGLES, min_size=2 * k, max_size=2 * k))))
+    if kind == "hit" and k == 3:
+        b, c, d, e = x[1:5]
+        try:
+            a, f = m6_branch_points(b, c, d, e)
+        except SingularBranch:
+            pass
+        else:
+            i = draw(st.integers(0, 3))
+            x[0], x[5] = a[i], f[i]
+    elif kind == "hit":
+        x1, x3, alpha, beta = x[:4]
+        re = (x1 / x3).real
+        x2 = np.conj(-re + draw(st.sampled_from([1, -1])) * 1j * np.sqrt(1 - re * re))
+        r1 = np.array([1, x1, x2, x3])
+        x = np.concatenate((alpha * r1, beta * np.roll(r1 * [1, -1, 1, -1],
+                                                         draw(st.integers(0, 3)))))
+    moduli = draw(st.sampled_from(["torus", "common", "each"]))
+    if moduli == "common":
+        x = x * np.exp(draw(st.floats(-4, 4)))
+    elif moduli == "each":
+        x = x * np.exp(draw(st.lists(st.floats(-4, 4), min_size=2 * k, max_size=2 * k)))
+    if draw(st.booleans()):
+        nudge = draw(st.lists(st.floats(-1e-9, 1e-9), min_size=2 * k, max_size=2 * k))
+        x = x * unimodular(np.array(nudge))
+    return x
+
+
+class TestBlockRowPath:
+    """sweep 6 decides and classifies from block rows; m6 and m8 say the same."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.sampled_from([3, 4]), data=st.data(),
+           tau=st.sampled_from([1e-10, 1e-9, 1e-6, 0.75]))
+    def test_rows_decide_and_classify_as_their_matrices(self, k, data, tau):
+        x = np.array(data.draw(st.lists(block_row_params(k), min_size=1, max_size=6)))
+        tol = ToleranceConfig(tau_entry=tau)
+        row, M = _block_row(tuple(x.T)), _block_form(tuple(x.T))
+        m = 2 * k
+        deviation = np.max(np.abs(np.abs(row) - 1.0), axis=-1)
+        assert deviation.tobytes() == core._unimodularity_deviation(M).tobytes()
+        # the residual of M is max|S_s| up to the rounding of its sums of m
+        # products: ratios on the diagonal blocks, of modulus at most
+        # max|x|/min|x|, and products of two entries or of two reciprocals
+        # off it, where A@B - B@A and its reciprocal twin cancel
+        residual = core._orthogonality_residual(M)
+        ratio_sums = np.abs(_ratio_sums(x)).max(axis=-1)
+        top, low = np.abs(x).max(axis=-1), np.abs(x).min(axis=-1)
+        scale = np.maximum.reduce([top / low, top**2, low**-2])
+        bound = 8 * np.finfo(float).eps * scale * m
+        assert np.all(np.abs(residual - ratio_sums) <= bound)
+        hits = _block_row_hits(row, tol)
+        clear = np.abs(residual - m * tau) > bound
+        assert np.array_equal(hits[clear], is_hadamard(M, tol)[clear])
+        assert _block_row_spectrum(row).tobytes() == circulant_block_spectrum(M).tobytes()
 
 
 class TestM6:

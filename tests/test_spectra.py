@@ -513,11 +513,12 @@ class TestDistinctSpectra:
                 distinct_spectra(spectra, 1e-8)
 
     def test_sweep_spectra_need_few_comparisons(self, monkeypatch):
-        from hadamard_forge import is_hadamard
-        from hadamard_forge.cli import _sweep_matrices
+        from hadamard_forge.cli import _sweep_rows
+        from hadamard_forge.families import _block_row_hits
+        from hadamard_forge.spectra import _block_row_spectrum
 
-        stack = _sweep_matrices(6, 1, 200)
-        spectra = spectrum(stack[is_hadamard(stack)])
+        rows = _sweep_rows(1, 200)
+        spectra = _block_row_spectrum(rows[_block_row_hits(rows)])
         calls = []
 
         def counted(a, b, tol):
